@@ -21,7 +21,7 @@ from .critical_clique import (
     is_forest,
     rooted_forest,
 )
-from .game import Game, Profile, is_stable, payoff_levels
+from .game import Game, Profile, ScaledGame, scale_game
 from .report import SolveReport, SolveStatus
 
 Bounds = "tuple[int, int] | None"  # admissible investor counts inside the clique
@@ -53,28 +53,29 @@ class MemberClassification(NamedTuple):
 
 
 def classify_clique_members(
-    game: Game, members: Sequence[int], total: int
+    scaled: ScaledGame, members: Sequence[int], total: int
 ) -> MemberClassification:
     """Classify clique members by deviation stability at a given total.
 
-    `total` counts investors in the shared closed neighborhood.  total = 0
-    leaves no room for an investing member and total = closed degree forces
-    every member to invest, so those boundaries pin the respective side
-    instead of indexing outside the externality table.
+    `scaled` is `scale_game` of the game.  `total` counts investors in the
+    shared closed neighborhood.  total = 0 leaves no room for an investing
+    member and total = closed degree forces every member to invest, so those
+    boundaries pin the respective side instead of indexing outside the
+    externality table.
     """
     ms = tuple(sorted(members))
     if not ms:
         raise ValueError("empty clique")
-    top = game.graph.degree(ms[0]) + 1
+    top = len(scaled.ext[ms[0]]) - 1
     if total < 0 or total > top:
         all_ms = frozenset(ms)
         return MemberClassification(all_ms, all_ms, frozenset(), out_of_range=True)
     must_not: set[int] = set()
     must: set[int] = set()
     for v in ms:
-        if total == 0 or not is_stable(game, v, True, total):
+        if total == 0 or not scaled.stable(v, True, total):
             must_not.add(v)
-        if total == top or not is_stable(game, v, False, total):
+        if total == top or not scaled.stable(v, False, total):
             must.add(v)
     free = frozenset(ms) - must_not - must
     return MemberClassification(frozenset(must_not), frozenset(must), free)
@@ -85,12 +86,12 @@ def classify_clique_members(
 # ---------------------------------------------------------------------------
 
 
-def _psne_bounds(game: Game, members: tuple[int, ...]) -> list[Bounds]:
+def _psne_bounds(scaled: ScaledGame, members: tuple[int, ...]) -> list[Bounds]:
     """Admissible x-interval per total, or None when no selection works."""
-    top = game.graph.degree(members[0]) + 1
+    top = len(scaled.ext[members[0]]) - 1
     out: list[Bounds] = []
     for total in range(top + 1):
-        cls = classify_clique_members(game, members, total)
+        cls = classify_clique_members(scaled, members, total)
         if cls.contradiction:
             out.append(None)
         else:
@@ -99,17 +100,17 @@ def _psne_bounds(game: Game, members: tuple[int, ...]) -> list[Bounds]:
     return out
 
 
-def _esw_bounds(game: Game, members: tuple[int, ...], q: Fraction) -> list[Bounds]:
-    """Admissible x-interval per total for "every member's utility >= q"."""
-    top = game.graph.degree(members[0]) + 1
+def _esw_bounds(scaled: ScaledGame, members: tuple[int, ...], q: int) -> list[Bounds]:
+    """Admissible x-interval per total for "every member's utility >= q"
+    (q and utilities scaled)."""
+    ext, cost = scaled.ext, scaled.cost
+    top = len(ext[members[0]]) - 1
     out: list[Bounds] = []
     for total in range(top + 1):
-        if any(game.externality[v][total] < q for v in members):
+        if any(ext[v][total] < q for v in members):
             out.append(None)  # someone is below q whatever it does
             continue
-        barred = sum(
-            1 for v in members if game.externality[v][total] - game.cost[v] < q
-        )
+        barred = sum(1 for v in members if ext[v][total] - cost[v] < q)
         out.append((0, len(members) - barred))
     return out
 
@@ -238,11 +239,12 @@ def solve_psne_ccforest(game: Game) -> SolveReport:
     if bail is not None:
         return bail
     rf = rooted_forest(cc)
+    scaled = scale_game(game)
     bound_cache: dict[int, list[Bounds]] = {}
 
     def bounds_of(k: int) -> list[Bounds]:
         if k not in bound_cache:
-            bound_cache[k] = _psne_bounds(game, cc.cliques[k])
+            bound_cache[k] = _psne_bounds(scaled, cc.cliques[k])
         return bound_cache[k]
 
     tables = _feasible_tables(game, cc, rf, bounds_of)
@@ -263,7 +265,7 @@ def solve_psne_ccforest(game: Game) -> SolveReport:
         choices[root] = choice
 
     def investors_for(k: int, x: int, total: int) -> list[int]:
-        cls = classify_clique_members(game, cc.cliques[k], total)
+        cls = classify_clique_members(scaled, cc.cliques[k], total)
         chosen = sorted(cls.must_invest)
         chosen += sorted(cls.free)[: x - len(chosen)]
         return chosen
@@ -285,11 +287,11 @@ def solve_psne_ccforest(game: Game) -> SolveReport:
 
 def _usw_child_bests(
     tables, cliques, kids: tuple[int, ...], x: int
-) -> list[list[Fraction | None]]:
+) -> list[list[int | None]]:
     """best[j][xj] = best welfare of child j's subtree contributing xj."""
     bests = []
     for j in kids:
-        best: list[Fraction | None] = []
+        best: list[int | None] = []
         for xj in range(len(cliques[j]) + 1):
             row = tables[j].get((xj, x))
             best.append(
@@ -299,8 +301,8 @@ def _usw_child_bests(
     return bests
 
 
-def _maxplus(acc: list[Fraction | None], best: list[Fraction | None]):
-    out: list[Fraction | None] = [None] * (len(acc) + len(best) - 1)
+def _maxplus(acc: list[int | None], best: list[int | None]):
+    out: list[int | None] = [None] * (len(acc) + len(best) - 1)
     for s, left in enumerate(acc):
         if left is None:
             continue
@@ -321,11 +323,13 @@ def solve_usw_ccforest(game: Game) -> SolveReport:
         return bail
     rf = rooted_forest(cc)
     cliques = cc.cliques
-    # (x, y) -> list over z of subtree welfare (None = not yet reachable)
-    tables: list[dict[tuple[int, int], list[Fraction | None]]] = [{} for _ in cliques]
+    scaled = scale_game(game)
+    ext, cost = scaled.ext, scaled.cost
+    # (x, y) -> list over z of scaled subtree welfare (None = not reachable)
+    tables: list[dict[tuple[int, int], list[int | None]]] = [{} for _ in cliques]
     cheap: list[list[int]] = []  # members sorted by (cost, index), per clique
     for k, members in enumerate(cliques):
-        cheap.append([v for _, v in sorted((game.cost[v], v) for v in members)])
+        cheap.append([v for _, v in sorted((cost[v], v) for v in members)])
 
     for k in rf.postorder:
         members = cliques[k]
@@ -333,29 +337,26 @@ def solve_usw_ccforest(game: Game) -> SolveReport:
         parent = rf.parent[k]
         ymax = len(cliques[parent]) if parent is not None else 0
         zmax = sum(len(cliques[j]) for j in kids)
-        top = game.graph.degree(members[0]) + 1
-        gsum = [
-            sum((game.externality[v][t] for v in members), Fraction(0))
-            for t in range(top + 1)
-        ]
-        cost_prefix = [Fraction(0)]
+        top = len(ext[members[0]]) - 1
+        gsum = [sum(ext[v][t] for v in members) for t in range(top + 1)]
+        cost_prefix = [0]
         for v in cheap[k]:
-            cost_prefix.append(cost_prefix[-1] + game.cost[v])
+            cost_prefix.append(cost_prefix[-1] + cost[v])
         for x in range(len(members) + 1):
-            merged: list[Fraction | None] = [Fraction(0)]
+            merged: list[int | None] = [0]
             for best in _usw_child_bests(tables, cliques, kids, x):
                 merged = _maxplus(merged, best)
             for y in range(ymax + 1):
-                row: list[Fraction | None] = [None] * (zmax + 1)
+                row: list[int | None] = [None] * (zmax + 1)
                 for z in range(zmax + 1):
                     if merged[z] is not None:
                         row[z] = gsum[x + y + z] - cost_prefix[x] + merged[z]
                 tables[k][(x, y)] = row
 
-    total_value = Fraction(0)
+    total_value = 0
     choices: dict[int, tuple[int, int]] = {}
     for root in rf.roots:
-        best_val: Fraction | None = None
+        best_val: int | None = None
         best_key = (0, 0)
         for x in range(len(cliques[root]) + 1):
             row = tables[root].get((x, 0))
@@ -377,7 +378,7 @@ def solve_usw_ccforest(game: Game) -> SolveReport:
         if not kids:
             continue
         bests = _usw_child_bests(tables, cliques, kids, x)
-        prefix: list[list[Fraction | None]] = [[Fraction(0)]]
+        prefix: list[list[int | None]] = [[0]]
         for best in bests:
             prefix.append(_maxplus(prefix[-1], best))
         remaining = z
@@ -413,7 +414,7 @@ def solve_usw_ccforest(game: Game) -> SolveReport:
         status=SolveStatus.SOLVED,
         algorithm="ccforest",
         profile=Profile(frozenset(invest)),
-        value=total_value,
+        value=Fraction(total_value, scaled.scale),
         elapsed=time.perf_counter() - started,
         table_entries=entries,
     )
@@ -439,11 +440,12 @@ def solve_esw_ccforest(game: Game) -> SolveReport:
     if bail is not None:
         return bail
     rf = rooted_forest(cc)
-    candidates = payoff_levels(game)
+    scaled = scale_game(game)
+    candidates = scaled.levels
 
-    def tables_at(q: Fraction):
+    def tables_at(q: int):
         return _feasible_tables(
-            game, cc, rf, lambda k: _esw_bounds(game, cc.cliques[k], q)
+            game, cc, rf, lambda k: _esw_bounds(scaled, cc.cliques[k], q)
         )
 
     def feasible(tables) -> dict[int, tuple[int, int]] | None:
@@ -472,7 +474,7 @@ def solve_esw_ccforest(game: Game) -> SolveReport:
         eligible = [
             v
             for v in members
-            if game.externality[v][total] - game.cost[v] >= best_q
+            if scaled.ext[v][total] - scaled.cost[v] >= best_q
         ]
         return eligible[:x]
 
@@ -481,7 +483,7 @@ def solve_esw_ccforest(game: Game) -> SolveReport:
         status=SolveStatus.SOLVED,
         algorithm="ccforest",
         profile=Profile(frozenset(invest)),
-        value=best_q,
+        value=Fraction(best_q, scaled.scale),
         elapsed=time.perf_counter() - started,
         table_entries=_table_entry_count(tables),
     )

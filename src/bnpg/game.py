@@ -3,14 +3,20 @@
 Players sit on an undirected graph and either invest (paying their cost) or
 abstain.  A player's payoff is an externality function of the number of
 investors in its *closed* neighborhood, minus the cost if it invests itself.
-All quantities are `fractions.Fraction`; nothing ever passes through floats.
+
+The API is exact rationals: every quantity taken or returned here is a
+`fractions.Fraction`, and nothing ever passes through floats.  The solvers
+call `scale_game` once per solve, which multiplies every value and cost by
+the lcm D of their denominators, run on Python ints, and divide by D only in
+the value they report.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 Rational = Fraction | int | str
 
@@ -207,8 +213,11 @@ def is_stable(game: Game, v: int, invests: bool, count: int) -> bool:
     deviation_gain(...) <= 0 whenever the count matches an actual profile;
     indifference (gain 0) keeps the player stable.
     """
-    g = game.externality[v]
-    c = game.cost[v]
+    return _stable(game.externality[v], game.cost[v], invests, count)
+
+
+def _stable(g, c, invests: bool, count: int) -> bool:
+    # Only differences and >= are used, so this holds for scaled ints too.
     if invests:
         return g[count] - c >= g[count - 1]
     return g[count] >= g[count + 1] - c
@@ -238,19 +247,56 @@ def esw(game: Game, profile: Profile) -> Fraction:
     return min(payoff(game, profile, v) for v in range(game.player_count))
 
 
+class ScaledGame(NamedTuple):
+    """A game's payoff data multiplied by `scale` into Python ints.
+
+    `ext[v][k]` is g_v(k)·scale, `cost[v]` is c(v)·scale, and `levels` is
+    `payoff_levels` times scale.  Multiplying by a positive constant keeps
+    every sum, minimum and comparison, so a solver can work on these ints
+    and report `Fraction(best, scale)`.
+    """
+
+    scale: int
+    ext: tuple[tuple[int, ...], ...]
+    cost: tuple[int, ...]
+    levels: tuple[int, ...]
+
+    def stable(self, v: int, invests: bool, count: int) -> bool:
+        """`is_stable` on the scaled values."""
+        return _stable(self.ext[v], self.cost[v], invests, count)
+
+
+def scale_game(game: Game) -> ScaledGame:
+    """Scale by D, the lcm of every externality and cost denominator.
+
+    D is the smallest scale that makes every value an integer.  It is still
+    the product of all coprime denominators, so an input with many of them
+    makes every int that much longer.
+    """
+    denominators = {c.denominator for c in game.cost}
+    for table in game.externality:
+        denominators.update(x.denominator for x in table)
+    scale = math.lcm(*denominators)
+    ext = tuple(
+        tuple(x.numerator * (scale // x.denominator) for x in table)
+        for table in game.externality
+    )
+    cost = tuple(c.numerator * (scale // c.denominator) for c in game.cost)
+    levels: set[int] = set()
+    for table, c in zip(ext, cost):
+        levels.update(table)
+        levels.update(x - c for x in table)
+    return ScaledGame(scale, ext, cost, tuple(sorted(levels)))
+
+
 def payoff_levels(game: Game) -> list[Fraction]:
     """Every payoff value any player can realize, sorted and deduplicated.
 
     A player's payoff is always g_v(k) or g_v(k) - c(v) for some count k, so
     the optimum of any min/threshold objective lies in this finite list.
     """
-    values: set[Fraction] = set()
-    for v in range(game.player_count):
-        cost = game.cost[v]
-        for value in game.externality[v]:
-            values.add(value)
-            values.add(value - cost)
-    return sorted(values)
+    scaled = scale_game(game)
+    return [Fraction(level, scaled.scale) for level in scaled.levels]
 
 
 @dataclass(frozen=True)

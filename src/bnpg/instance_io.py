@@ -10,14 +10,16 @@ Instance format (one directive per line, "#" lines are comments)::
 
 Every player needs a cost line and a complete externality table
 (k = 0 .. degree+1).  Values are exact rationals: integers, decimal strings
-("1.5"), or ratios ("3/4"); they never pass through floats.  Serialization is
-canonical (sorted directives, integers printed bare, other rationals as p/q),
-so parse(serialize(game)) == game exactly.
+("1.5"), or ratios ("3/4"), and nothing else (no exponents); they never pass
+through floats.  Serialization is canonical (sorted directives, integers
+printed bare, other rationals as p/q), so parse(serialize(game)) == game
+exactly.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,7 +35,15 @@ class ParseError(ValueError):
         self.line = line
 
 
+# An integer, a decimal a.b or a ratio p/q, in ASCII digits.  `Fraction()`
+# alone would also take exponents, so a 9-byte "1e1000000" would become a
+# 3.3-million-bit integer.
+_RATIONAL_TOKEN = re.compile(r"[+-]?[0-9]+(?:\.[0-9]+|/[0-9]+)?")
+
+
 def _rational(token: str, line: int, what: str) -> Fraction:
+    if not _RATIONAL_TOKEN.fullmatch(token):
+        raise ParseError(line, f"{what} is not an exact rational: {token!r}")
     try:
         value = Fraction(token)
     except (ValueError, ZeroDivisionError):
@@ -71,8 +81,8 @@ def parse_instance(text: str) -> Game:
     last_idx = idx
     edges: set[tuple[int, int]] = set()
     costs: dict[int, Fraction] = {}
-    gtab: dict[tuple[int, int], Fraction] = {}
-    g_lines: dict[tuple[int, int], int] = {}
+    # player -> {k: (value, line)}, each in the order of the input lines
+    gtab: dict[int, dict[int, tuple[Fraction, int]]] = {}
 
     def need_player(v: int, idx: int) -> None:
         assert n is not None
@@ -121,10 +131,10 @@ def parse_instance(text: str) -> Game:
             need_player(v, idx)
             if k < 0:
                 raise ParseError(idx, "externality index must be >= 0")
-            if (v, k) in gtab:
+            row = gtab.setdefault(v, {})
+            if k in row:
                 raise ParseError(idx, f"duplicate externality entry g({v}, {k})")
-            gtab[(v, k)] = _rational(args[2], idx, "externality value")
-            g_lines[(v, k)] = idx
+            row[k] = (_rational(args[2], idx, "externality value"), idx)
         else:
             raise ParseError(idx, f"unknown directive {kind!r}")
 
@@ -135,21 +145,22 @@ def parse_instance(text: str) -> Game:
     tables = []
     for v in range(n):
         width = graph.degree(v) + 2
-        for k in gtab:
-            if k[0] == v and k[1] >= width:
+        entries = gtab.get(v, {})
+        for k, (_, line) in entries.items():
+            if k >= width:
                 raise ParseError(
-                    g_lines[k],
-                    f"externality index {k[1]} out of range for player {v} "
+                    line,
+                    f"externality index {k} out of range for player {v} "
                     f"(degree {graph.degree(v)}, max index {width - 1})",
                 )
         row = []
         for k in range(width):
-            if (v, k) not in gtab:
+            if k not in entries:
                 raise ParseError(
                     None,
                     f"incomplete externality table for player {v}: missing g({v}, {k})",
                 )
-            row.append(gtab[(v, k)])
+            row.append(entries[k][0])
         tables.append(tuple(row))
         if v not in costs:
             raise ParseError(None, f"missing cost for player {v}")

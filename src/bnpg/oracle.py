@@ -11,9 +11,9 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .game import Game, Graph, Profile
+from .game import Game, Graph, Profile, scale_game
 
 _TIME_CHECK_STRIDE = 4096
 
@@ -61,20 +61,23 @@ def _check_deadline(mask: int, deadline: float | None) -> None:
             raise LimitExceeded("oracle time budget exhausted")
 
 
-def enum_psne(game: Game, limits: OracleLimits = OracleLimits()) -> list[Profile]:
-    """All pure Nash equilibria, in ascending bitmask order."""
+def _to_profile(mask: int, n: int) -> Profile:
+    return Profile(frozenset(v for v in range(n) if (mask >> v) & 1))
+
+
+def _psne_profiles(game: Game, limits: OracleLimits) -> Iterator[Profile]:
+    """Every pure Nash equilibrium, lazily, in ascending bitmask order."""
     n = _guard(game, limits)
     closed = _closed_masks(game.graph)
+    scaled = scale_game(game)
     # Stability depends only on (invests, closed investor count): tabulate it.
     ok_invest: list[list[bool]] = []
     ok_abstain: list[list[bool]] = []
     for v in range(n):
-        g, c = game.externality[v], game.cost[v]
-        top = len(g) - 1
-        ok_invest.append([False] + [g[k] - c >= g[k - 1] for k in range(1, top + 1)])
-        ok_abstain.append([g[k] >= g[k + 1] - c for k in range(top)] + [True])
+        top = len(scaled.ext[v]) - 1
+        ok_invest.append([False] + [scaled.stable(v, True, k) for k in range(1, top + 1)])
+        ok_abstain.append([scaled.stable(v, False, k) for k in range(top)] + [True])
     deadline = _deadline(limits)
-    found = []
     for mask in range(1 << n):
         _check_deadline(mask, deadline)
         for v in range(n):
@@ -85,40 +88,19 @@ def enum_psne(game: Game, limits: OracleLimits = OracleLimits()) -> list[Profile
             elif not ok_abstain[v][count]:
                 break
         else:
-            found.append(_to_profile(mask, n))
-    return found
+            yield _to_profile(mask, n)
 
 
-def _to_profile(mask: int, n: int) -> Profile:
-    return Profile(frozenset(v for v in range(n) if (mask >> v) & 1))
+def enum_psne(game: Game, limits: OracleLimits = OracleLimits()) -> list[Profile]:
+    """All pure Nash equilibria, in ascending bitmask order."""
+    return list(_psne_profiles(game, limits))
 
 
 def first_psne(
     game: Game, limits: OracleLimits = OracleLimits()
 ) -> Profile | None:
     """The smallest-bitmask pure Nash equilibrium, or None if there is none."""
-    n = _guard(game, limits)
-    closed = _closed_masks(game.graph)
-    ok_invest: list[list[bool]] = []
-    ok_abstain: list[list[bool]] = []
-    for v in range(n):
-        g, c = game.externality[v], game.cost[v]
-        top = len(g) - 1
-        ok_invest.append([False] + [g[k] - c >= g[k - 1] for k in range(1, top + 1)])
-        ok_abstain.append([g[k] >= g[k + 1] - c for k in range(top)] + [True])
-    deadline = _deadline(limits)
-    for mask in range(1 << n):
-        _check_deadline(mask, deadline)
-        for v in range(n):
-            count = (mask & closed[v]).bit_count()
-            if (mask >> v) & 1:
-                if not ok_invest[v][count]:
-                    break
-            elif not ok_abstain[v][count]:
-                break
-        else:
-            return _to_profile(mask, n)
-    return None
+    return next(_psne_profiles(game, limits), None)
 
 
 def max_usw(
@@ -127,19 +109,21 @@ def max_usw(
     """A profile maximizing utilitarian welfare (smallest bitmask on ties)."""
     n = _guard(game, limits)
     closed = _closed_masks(game.graph)
+    scaled = scale_game(game)
+    players = list(zip(range(n), closed, scaled.ext, scaled.cost))
     deadline = _deadline(limits)
     best_mask, best = 0, None
     for mask in range(1 << n):
         _check_deadline(mask, deadline)
-        total = Fraction(0)
-        for v in range(n):
-            total += game.externality[v][(mask & closed[v]).bit_count()]
+        total = 0
+        for v, near, g, c in players:
+            total += g[(mask & near).bit_count()]
             if (mask >> v) & 1:
-                total -= game.cost[v]
+                total -= c
         if best is None or total > best:
             best_mask, best = mask, total
     assert best is not None
-    return _to_profile(best_mask, n), best
+    return _to_profile(best_mask, n), Fraction(best, scaled.scale)
 
 
 def max_esw(
@@ -150,21 +134,23 @@ def max_esw(
     if n == 0:
         raise ValueError("egalitarian welfare is undefined for a zero-player game")
     closed = _closed_masks(game.graph)
+    scaled = scale_game(game)
+    players = list(zip(range(n), closed, scaled.ext, scaled.cost))
     deadline = _deadline(limits)
     best_mask, best = 0, None
     for mask in range(1 << n):
         _check_deadline(mask, deadline)
         low = None
-        for v in range(n):
-            p = game.externality[v][(mask & closed[v]).bit_count()]
+        for v, near, g, c in players:
+            p = g[(mask & near).bit_count()]
             if (mask >> v) & 1:
-                p -= game.cost[v]
+                p -= c
             if low is None or p < low:
                 low = p
         if best is None or low > best:
             best_mask, best = mask, low
     assert best is not None
-    return _to_profile(best_mask, n), best
+    return _to_profile(best_mask, n), Fraction(best, scaled.scale)
 
 
 def find_3regular_induced(

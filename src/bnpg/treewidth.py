@@ -24,7 +24,7 @@ from .decomposition import (
     to_nice,
     validate_nice,
 )
-from .game import Game, Profile, is_stable, payoff_levels
+from .game import Game, Profile, ScaledGame, scale_game
 from .report import SolveReport, SolveStatus
 
 # A state key: (sorted tuple of investing bag vertices,
@@ -60,16 +60,20 @@ def prepare_decomposition(
 def _sweep(
     game: Game,
     ntd: NiceTreeDecomposition,
-    scoring: bool,
+    score: ScaledGame | None,
     settle_filter: "Callable[[int, bool, int], bool] | None",
 ):
     """One bottom-up pass; returns (tables, witnesses).
 
-    tables[i] maps StateKey -> True (feasibility) or best Fraction (scoring);
+    With `score` None, tables[i] maps StateKey -> True (feasibility);
+    otherwise it maps StateKey -> the best welfare in `score`'s scaled ints.
     witnesses[i] maps StateKey -> the child key(s) it came from, so a chosen
     root state can be replayed downward into a full profile.
     """
     nbr = [game.graph.neighbors(v) for v in range(game.graph.player_count)]
+    scoring = score is not None
+    if scoring:
+        ext, cost = score.ext, score.cost
     tables: list[dict] = [None] * len(ntd.bags)
     witnesses: list[dict] = [None] * len(ntd.bags)
     for i in ntd.postorder:
@@ -77,7 +81,7 @@ def _sweep(
         table: dict = {}
         witness: dict = {}
         if kind == "leaf":
-            table[EMPTY_STATE] = Fraction(0) if scoring else True
+            table[EMPTY_STATE] = 0 if scoring else True
             witness[EMPTY_STATE] = ()
         elif kind == "introduce":
             child = ntd.children[i][0]
@@ -109,9 +113,9 @@ def _sweep(
                 if settle_filter is not None and not settle_filter(v, invests, k):
                     continue
                 if scoring:
-                    new_val = val + game.externality[v][k]
+                    new_val = val + ext[v][k]
                     if invests:
-                        new_val -= game.cost[v]
+                        new_val -= cost[v]
                 else:
                     new_val = True
                 new_investors = tuple(x for x in investors if x != v)
@@ -179,11 +183,8 @@ def solve_psne_treewidth(
     """Find a pure Nash equilibrium, or prove none exists."""
     started = time.perf_counter()
     ntd = prepare_decomposition(game, decomposition)
-
-    def stable(v: int, invests: bool, k: int) -> bool:
-        return is_stable(game, v, invests, k)
-
-    tables, witnesses = _sweep(game, ntd, scoring=False, settle_filter=stable)
+    scaled = scale_game(game)
+    tables, witnesses = _sweep(game, ntd, score=None, settle_filter=scaled.stable)
     detail = f"decomposition width {ntd.width()}"
     if EMPTY_STATE not in tables[ntd.root]:
         return SolveReport(
@@ -211,14 +212,15 @@ def solve_usw_treewidth(
     """Maximize the sum of payoffs (the organizer dictates every action)."""
     started = time.perf_counter()
     ntd = prepare_decomposition(game, decomposition)
-    tables, witnesses = _sweep(game, ntd, scoring=True, settle_filter=None)
+    scaled = scale_game(game)
+    tables, witnesses = _sweep(game, ntd, score=scaled, settle_filter=None)
     value = tables[ntd.root][EMPTY_STATE]
     invest = _replay(ntd, witnesses)
     return SolveReport(
         status=SolveStatus.SOLVED,
         algorithm="treewidth",
         profile=Profile(frozenset(invest)),
-        value=value,
+        value=Fraction(value, scaled.scale),
         elapsed=time.perf_counter() - started,
         table_entries=_entry_count(tables),
         detail=f"decomposition width {ntd.width()}",
@@ -234,16 +236,18 @@ def solve_esw_treewidth(
     if game.player_count == 0:
         raise ValueError("egalitarian welfare is undefined for a zero-player game")
     ntd = prepare_decomposition(game, decomposition)
-    candidates = payoff_levels(game)
+    scaled = scale_game(game)
+    ext, cost = scaled.ext, scaled.cost
+    candidates = scaled.levels
 
-    def sweep_at(q: Fraction):
+    def sweep_at(q: int):
         def above(v: int, invests: bool, k: int) -> bool:
-            value = game.externality[v][k]
+            value = ext[v][k]
             if invests:
-                value -= game.cost[v]
+                value -= cost[v]
             return value >= q
 
-        return _sweep(game, ntd, scoring=False, settle_filter=above)
+        return _sweep(game, ntd, score=None, settle_filter=above)
 
     lo, hi = 0, len(candidates) - 1
     while lo < hi:
@@ -261,7 +265,7 @@ def solve_esw_treewidth(
         status=SolveStatus.SOLVED,
         algorithm="treewidth",
         profile=Profile(frozenset(invest)),
-        value=best_q,
+        value=Fraction(best_q, scaled.scale),
         elapsed=time.perf_counter() - started,
         table_entries=_entry_count(tables),
         detail=f"decomposition width {ntd.width()}",

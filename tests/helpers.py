@@ -78,6 +78,26 @@ def random_game(graph: Graph, rng: random.Random, monotone: bool = False) -> Gam
     return Game.build(graph, ext, cost)
 
 
+COPRIME_DENOMINATORS = (3, 5, 7, 11)
+
+
+def coprime_game(graph: Graph, rng: random.Random) -> Game:
+    """Like random_game, but every value and cost has a denominator drawn
+    from {3, 5, 7, 11}, so the lcm of a game's denominators reaches 1155."""
+
+    def draw(top: int) -> Fraction:
+        return Fraction(rng.randrange(0, top), rng.choice(COPRIME_DENOMINATORS))
+
+    ext, cost = [], []
+    for v in range(graph.player_count):
+        table = [draw(12)]
+        for _ in range(graph.degree(v) + 1):
+            table.append(table[-1] + draw(12) if rng.random() < 0.7 else draw(24))
+        ext.append(tuple(table))
+        cost.append(draw(12))
+    return Game.build(graph, ext, cost)
+
+
 def best_shot_game(graph: Graph, cost: Fraction = Fraction(1, 2)) -> Game:
     """Classic threshold game: any investor in the closed neighborhood is enough."""
     ext = [

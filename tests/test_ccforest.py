@@ -12,13 +12,14 @@ from bnpg.ccforest import (
     solve_usw_ccforest,
 )
 from bnpg.critical_clique import build_cc_graph, is_forest
-from bnpg.game import Game, Graph, Profile, esw, is_psne, usw
+from bnpg.game import Game, Graph, Profile, esw, is_psne, scale_game, usw
 from bnpg.oracle import enum_psne, max_esw, max_usw
 from bnpg.report import SolveStatus
 
 from helpers import (
     best_shot_game,
     complete_graph,
+    coprime_game,
     cycle_graph,
     path_graph,
     random_game,
@@ -35,29 +36,29 @@ from helpers import (
 
 def test_zero_total_forbids_investing():
     game = best_shot_game(complete_graph(3))
-    cls = classify_clique_members(game, (0, 1, 2), 0)
+    cls = classify_clique_members(scale_game(game), (0, 1, 2), 0)
     assert cls.must_not_invest == frozenset({0, 1, 2})
 
 
 def test_full_total_forces_investing():
     game = best_shot_game(complete_graph(3), cost=Fraction(0))
-    cls = classify_clique_members(game, (0, 1, 2), 3)
+    cls = classify_clique_members(scale_game(game), (0, 1, 2), 3)
     assert cls.must_invest == frozenset({0, 1, 2})
     assert not cls.contradiction
 
 
 def test_out_of_range_totals_are_flagged():
     game = best_shot_game(complete_graph(3))
-    assert classify_clique_members(game, (0, 1, 2), 4).out_of_range
-    assert classify_clique_members(game, (0, 1, 2), -1).out_of_range
-    assert not classify_clique_members(game, (0, 1, 2), 2).out_of_range
+    assert classify_clique_members(scale_game(game), (0, 1, 2), 4).out_of_range
+    assert classify_clique_members(scale_game(game), (0, 1, 2), -1).out_of_range
+    assert not classify_clique_members(scale_game(game), (0, 1, 2), 2).out_of_range
 
 
 def test_free_players_may_do_either():
     # threshold externality, zero cost: once somebody invests, an investor
     # is happy to stay and an abstainer is happy to stay out
     game = best_shot_game(path_graph(2), cost=Fraction(0))
-    cls = classify_clique_members(game, (0, 1), 1)
+    cls = classify_clique_members(scale_game(game), (0, 1), 1)
     assert cls.free == frozenset({0, 1})
     assert cls.must_invest == frozenset()
     # whether a count is *realizable* is the DP's business, not the
@@ -71,7 +72,7 @@ def test_contradiction_blocks_every_count():
     # at the same total, so the total is unrealizable
     g = Graph.from_edges(1, [])
     game = Game.build(g, [(0, 2)], [3])
-    cls = classify_clique_members(game, (0,), 1)
+    cls = classify_clique_members(scale_game(game), (0,), 1)
     assert cls.contradiction
     assert not cls.allows(0) and not cls.allows(1)
 
@@ -79,7 +80,7 @@ def test_contradiction_blocks_every_count():
 def test_classification_rejects_empty_member_list():
     game = best_shot_game(path_graph(2))
     with pytest.raises(ValueError):
-        classify_clique_members(game, (), 0)
+        classify_clique_members(scale_game(game), (), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -211,3 +212,30 @@ def test_oracle_agreement_on_disconnected_graphs():
         edges += [(a + rng.randrange(v), a + v) for v in range(1, b)]
         game = random_game(Graph.from_edges(a + b, edges), rng)
         _check_against_oracle(game)
+
+
+def _check_coprime_corpus(games):
+    """Oracle agreement on games with denominators from {3, 5, 7, 11}, whose
+    scale reaches 1155; welfare values must come back as Fractions."""
+    scales = set()
+    for game in games:
+        _check_against_oracle(game)
+        for solve in (solve_usw_ccforest, solve_esw_ccforest):
+            assert isinstance(solve(game).value, Fraction)
+        scales.add(scale_game(game).scale)
+    assert max(scales) == 1155
+
+
+def test_coprime_denominators_on_random_trees():
+    rng = random.Random(110)
+    _check_coprime_corpus(
+        coprime_game(random_tree(rng.randrange(1, 9), rng), rng) for _ in range(30)
+    )
+
+
+def test_coprime_denominators_on_twin_clusters():
+    rng = random.Random(111)
+    _check_coprime_corpus(
+        coprime_game(twin_cluster_graph(rng.randrange(1, 10), rng), rng)
+        for _ in range(30)
+    )

@@ -1,5 +1,7 @@
 """Core semantics: graphs, payoffs, stability, welfare, subgames."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,10 +19,11 @@ from bnpg.game import (
     is_stable,
     payoff,
     payoff_levels,
+    scale_game,
     usw,
 )
 
-from helpers import best_shot_game, complete_graph, path_graph
+from helpers import best_shot_game, complete_graph, coprime_game, gnp_graph, path_graph
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +177,37 @@ def test_every_payoff_is_a_known_level(pair):
     levels = set(payoff_levels(game))
     for v in range(game.graph.player_count):
         assert payoff(game, profile, v) in levels
+
+
+def _fraction_levels(game):
+    """payoff_levels as computed in Fractions, for reference."""
+    values = set()
+    for v in range(game.player_count):
+        for value in game.externality[v]:
+            values.add(value)
+            values.add(value - game.cost[v])
+    return sorted(values)
+
+
+def test_scaling_is_exact_on_coprime_denominators():
+    rng = random.Random(112)
+    scales = set()
+    for _ in range(40):
+        game = coprime_game(gnp_graph(rng.randrange(0, 7), 0.5, rng), rng)
+        scaled = scale_game(game)
+        dens = [x.denominator for t in game.externality for x in t]
+        dens += [c.denominator for c in game.cost]
+        assert scaled.scale == math.lcm(*dens)
+        scales.add(scaled.scale)
+        for v in range(game.player_count):
+            assert [Fraction(x, scaled.scale) for x in scaled.ext[v]] == list(
+                game.externality[v]
+            )
+            assert Fraction(scaled.cost[v], scaled.scale) == game.cost[v]
+        reference = _fraction_levels(game)
+        assert [Fraction(x, scaled.scale) for x in scaled.levels] == reference
+        assert payoff_levels(game) == reference
+    assert max(scales) == 1155
 
 
 def test_profile_validation_rejects_out_of_range():

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bnpg.critical_clique import build_cc_graph
 from bnpg.decomposition import heuristic_decomposition
@@ -96,6 +98,51 @@ def test_parse_errors_carry_line_numbers(text, line, fragment):
         parse_instance(text)
     assert err.value.line == line
     assert fragment in str(err.value)
+
+
+def test_first_out_of_range_index_goes_by_player_then_line():
+    # player 1's bad index comes first in the file, but players are checked
+    # in order, and within player 0 the earlier of its two bad lines wins
+    text = (
+        "bnpg 1\nn 2\nc 0 1\nc 1 1\n"
+        "g 1 0 0\ng 1 9 1\ng 0 0 0\ng 0 4 1\ng 0 3 2\ng 0 1 0\ng 1 1 0\n"
+    )
+    with pytest.raises(ParseError, match="index 4 out of range for player 0") as err:
+        parse_instance(text)
+    assert err.value.line == 8
+
+
+def _cost_line(token: str) -> str:
+    return f"bnpg 1\nn 1\nc 0 {token}\ng 0 0 0\ng 0 1 0\n"
+
+
+@given(st.text(alphabet="0123456789+-./eE_ainf", min_size=1, max_size=12))
+def test_short_tokens_parse_as_before_or_are_rejected(token):
+    # hypothesis's per-example deadline also fails a slow rejection
+    try:
+        game = parse_instance(_cost_line(token))
+    except ParseError as err:
+        assert err.line == 3
+    else:
+        assert game.cost[0] == Fraction(token)
+
+
+@given(
+    st.integers(0, 10**9),
+    st.integers(0, 10**9),
+    st.integers(1, 10**9),
+    st.sampled_from(("{a}", "+{a}", "{a}.{b}", "{a}/{q}")),
+)
+def test_documented_number_forms_are_accepted(a, b, q, form):
+    token = form.format(a=a, b=b, q=q)
+    assert parse_instance(_cost_line(token)).cost[0] == Fraction(token)
+
+
+@pytest.mark.parametrize("token", ["1e1000000", "2.5E3", "1e3", ".5", "5.", "1_000"])
+def test_undocumented_number_forms_are_rejected(token):
+    with pytest.raises(ParseError, match="not an exact rational") as err:
+        parse_instance(_cost_line(token))
+    assert err.value.line == 3
 
 
 def test_whole_file_errors_have_no_line():

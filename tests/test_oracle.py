@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from bnpg.game import Game, Graph, Profile, esw, is_psne, usw
+from bnpg.game import Game, Graph, Profile, esw, is_psne, scale_game, usw
 from bnpg.oracle import (
     LimitExceeded,
     OracleLimits,
@@ -22,6 +22,7 @@ from bnpg.oracle import (
 from helpers import (
     best_shot_game,
     complete_graph,
+    coprime_game,
     cycle_graph,
     gnp_graph,
     path_graph,
@@ -125,6 +126,30 @@ def test_time_budget_is_enforced():
     game = Game.build(g, [(0, 0)] * 16, [0] * 16)
     with pytest.raises(LimitExceeded):
         enum_psne(game, OracleLimits(time_budget=0.0))
+
+
+def test_coprime_denominators_match_the_fraction_evaluators():
+    # Values and costs over {3, 5, 7, 11}: the oracle's integer scale reaches
+    # 1155, and every answer is checked against Fraction arithmetic over all
+    # profiles, including the smallest-bitmask tie-break.
+    rng = random.Random(110)
+    scales = set()
+    for _ in range(30):
+        n = rng.randrange(1, 7)
+        game = coprime_game(gnp_graph(n, rng.choice((0.3, 0.6)), rng), rng)
+        scales.add(scale_game(game).scale)
+        profiles = [
+            Profile(frozenset(v for v in range(n) if bits >> v & 1))
+            for bits in range(1 << n)
+        ]
+        assert enum_psne(game) == [s for s in profiles if is_psne(game, s)]
+        for solve, welfare in ((max_usw, usw), (max_esw, esw)):
+            profile, value = solve(game)
+            assert isinstance(value, Fraction)
+            best = max(welfare(game, s) for s in profiles)
+            assert value == welfare(game, profile) == best
+            assert profile == next(s for s in profiles if welfare(game, s) == best)
+    assert max(scales) == 1155
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 from bnpg.ccforest import solve_psne_ccforest, solve_usw_ccforest, solve_esw_ccforest
 from bnpg.decomposition import heuristic_decomposition, to_nice
-from bnpg.game import Game, Graph, is_psne, usw, esw
+from bnpg.game import Game, Graph, is_psne, scale_game, usw, esw
 from bnpg.oracle import enum_psne, max_usw, max_esw
 from bnpg.report import SolveStatus
 from bnpg.treewidth import (
@@ -17,7 +17,7 @@ from bnpg.treewidth import (
     solve_esw_treewidth,
 )
 
-from helpers import gnp_graph, path_graph, random_game, random_tree
+from helpers import coprime_game, cycle_graph, gnp_graph, path_graph, random_game, random_tree
 
 
 def check_against_oracle(game):
@@ -152,3 +152,31 @@ def test_long_path_is_fast():
 
     everyone = Profile.of(*range(game.graph.player_count))
     assert report.value >= usw(game, everyone)
+
+
+
+def _check_coprime_corpus(games):
+    """Oracle agreement on games with denominators from {3, 5, 7, 11}, whose
+    scale reaches 1155; welfare values must come back as Fractions."""
+    scales = set()
+    for game in games:
+        check_against_oracle(game)
+        for solve in (solve_usw_treewidth, solve_esw_treewidth):
+            assert isinstance(solve(game).value, Fraction)
+        scales.add(scale_game(game).scale)
+    assert max(scales) == 1155
+
+
+def test_coprime_denominators_on_random_graphs():
+    rng = random.Random(110)
+    _check_coprime_corpus(
+        coprime_game(gnp_graph(rng.randrange(1, 9), rng.choice((0.2, 0.4, 0.7)), rng), rng)
+        for _ in range(30)
+    )
+
+
+def test_coprime_denominators_on_cycles():
+    rng = random.Random(111)
+    _check_coprime_corpus(
+        coprime_game(cycle_graph(n), rng) for n in range(3, 10) for _ in range(3)
+    )
