@@ -3,17 +3,15 @@
 Pure-strategy Nash equilibria and maximum utilitarian/egalitarian welfare,
 computed exactly (rational arithmetic) by brute force, by dynamic programming
 over forests of critical cliques, or by dynamic programming over nice tree
-decompositions.
+decompositions.  `solve` is the entry point; it picks the solver with `auto`.
 """
 
 from .game import (
     Game,
     Graph,
     Profile,
-    SubgameView,
     deviation_gain,
     esw,
-    induce_subgame,
     is_psne,
     is_stable,
     payoff,
@@ -21,20 +19,20 @@ from .game import (
     usw,
 )
 from .report import SolveReport, SolveStatus
+from .solver import solve
 
 __all__ = [
     "Game",
     "Graph",
     "Profile",
-    "SubgameView",
     "SolveReport",
     "SolveStatus",
     "deviation_gain",
     "esw",
-    "induce_subgame",
     "is_psne",
     "is_stable",
     "payoff",
     "payoff_levels",
+    "solve",
     "usw",
 ]

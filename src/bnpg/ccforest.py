@@ -21,7 +21,7 @@ from .critical_clique import (
     is_forest,
     rooted_forest,
 )
-from .game import Game, Profile, ScaledGame, scale_game
+from .game import Game, Profile, ScaledGame, max_feasible_threshold, scale_game
 from .report import SolveReport, SolveStatus
 
 Bounds = "tuple[int, int] | None"  # admissible investor counts inside the clique
@@ -44,12 +44,6 @@ class MemberClassification(NamedTuple):
     @property
     def contradiction(self) -> bool:
         return bool(self.must_not_invest & self.must_invest)
-
-    def allows(self, x: int) -> bool:
-        """Can exactly x members invest under this classification?"""
-        if self.out_of_range or self.contradiction:
-            return False
-        return len(self.must_invest) <= x <= len(self.must_invest) + len(self.free)
 
 
 def classify_clique_members(
@@ -177,7 +171,7 @@ def _extract_feasible(
     tables: list[dict[tuple[int, int], int]],
     choices: dict[int, tuple[int, int]],
     investors_for: Callable[[int, int, int], list[int]],
-) -> set[int]:
+) -> Profile:
     """Walk chosen table entries top-down, assigning investors per clique."""
     invest: set[int] = set()
     stack = [(root, choices[root][0], 0, choices[root][1]) for root in rf.roots]
@@ -212,30 +206,33 @@ def _extract_feasible(
                     break
             else:
                 raise AssertionError("inconsistent feasibility tables")
-    return invest
+    return Profile(frozenset(invest))
 
 
 def _table_entry_count(tables: list[dict[tuple[int, int], int]]) -> int:
     return sum(bits.bit_count() for t in tables for bits in t.values())
 
 
-def _forest_or_report(game: Game, algorithm: str, started: float):
+def _report(
+    started: float, status: SolveStatus = SolveStatus.SOLVED, **fields
+) -> SolveReport:
+    """A ccforest report, timed from `started`."""
+    elapsed = time.perf_counter() - started
+    return SolveReport(status, "ccforest", elapsed=elapsed, **fields)
+
+
+def _forest_or_report(game: Game, started: float):
     cc = build_cc_graph(game.graph)
     if is_forest(cc):
         return cc, None
-    report = SolveReport(
-        status=SolveStatus.NOT_APPLICABLE,
-        algorithm=algorithm,
-        elapsed=time.perf_counter() - started,
-        detail="critical clique graph is not a forest",
-    )
-    return cc, report
+    detail = "critical clique graph is not a forest"
+    return cc, _report(started, SolveStatus.NOT_APPLICABLE, detail=detail)
 
 
 def solve_psne_ccforest(game: Game) -> SolveReport:
     """Find a pure Nash equilibrium, or prove none exists."""
     started = time.perf_counter()
-    cc, bail = _forest_or_report(game, "ccforest", started)
+    cc, bail = _forest_or_report(game, started)
     if bail is not None:
         return bail
     rf = rooted_forest(cc)
@@ -252,10 +249,9 @@ def solve_psne_ccforest(game: Game) -> SolveReport:
     for root in rf.roots:
         choice = _root_choice(tables, cc.cliques, root)
         if choice is None:
-            return SolveReport(
-                status=SolveStatus.NO_PSNE,
-                algorithm="ccforest",
-                elapsed=time.perf_counter() - started,
+            return _report(
+                started,
+                SolveStatus.NO_PSNE,
                 table_entries=_table_entry_count(tables),
                 detail=(
                     "no equilibrium in the component containing player "
@@ -271,13 +267,7 @@ def solve_psne_ccforest(game: Game) -> SolveReport:
         return chosen
 
     invest = _extract_feasible(cc, rf, tables, choices, investors_for)
-    return SolveReport(
-        status=SolveStatus.SOLVED,
-        algorithm="ccforest",
-        profile=Profile(frozenset(invest)),
-        elapsed=time.perf_counter() - started,
-        table_entries=_table_entry_count(tables),
-    )
+    return _report(started, profile=invest, table_entries=_table_entry_count(tables))
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +308,7 @@ def _maxplus(acc: list[int | None], best: list[int | None]):
 def solve_usw_ccforest(game: Game) -> SolveReport:
     """Maximize the sum of payoffs (the organizer dictates every action)."""
     started = time.perf_counter()
-    cc, bail = _forest_or_report(game, "ccforest", started)
+    cc, bail = _forest_or_report(game, started)
     if bail is not None:
         return bail
     rf = rooted_forest(cc)
@@ -410,12 +400,10 @@ def solve_usw_ccforest(game: Game) -> SolveReport:
         for t in tables
         for row in t.values()
     )
-    return SolveReport(
-        status=SolveStatus.SOLVED,
-        algorithm="ccforest",
+    return _report(
+        started,
         profile=Profile(frozenset(invest)),
         value=Fraction(total_value, scaled.scale),
-        elapsed=time.perf_counter() - started,
         table_entries=entries,
     )
 
@@ -436,38 +424,28 @@ def solve_esw_ccforest(game: Game) -> SolveReport:
     started = time.perf_counter()
     if game.player_count == 0:
         raise ValueError("egalitarian welfare is undefined for a zero-player game")
-    cc, bail = _forest_or_report(game, "ccforest", started)
+    cc, bail = _forest_or_report(game, started)
     if bail is not None:
         return bail
     rf = rooted_forest(cc)
     scaled = scale_game(game)
-    candidates = scaled.levels
 
-    def tables_at(q: int):
-        return _feasible_tables(
+    def probe(q: int):
+        """(tables, root choices) when "every payoff >= q" is feasible."""
+        tables = _feasible_tables(
             game, cc, rf, lambda k: _esw_bounds(scaled, cc.cliques[k], q)
         )
-
-    def feasible(tables) -> dict[int, tuple[int, int]] | None:
         choices = {}
         for root in rf.roots:
             choice = _root_choice(tables, cc.cliques, root)
             if choice is None:
                 return None
             choices[root] = choice
-        return choices
+        return tables, choices
 
-    lo, hi = 0, len(candidates) - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if feasible(tables_at(candidates[mid])) is not None:
-            lo = mid
-        else:
-            hi = mid - 1
-    best_q = candidates[lo]
-    tables = tables_at(best_q)
-    choices = feasible(tables)
-    assert choices is not None, "the smallest candidate is always feasible"
+    best_q, found = max_feasible_threshold(scaled.levels, probe)
+    assert found is not None, "the smallest candidate is always feasible"
+    tables, choices = found
 
     def investors_for(k: int, x: int, total: int) -> list[int]:
         members = cc.cliques[k]
@@ -479,11 +457,9 @@ def solve_esw_ccforest(game: Game) -> SolveReport:
         return eligible[:x]
 
     invest = _extract_feasible(cc, rf, tables, choices, investors_for)
-    return SolveReport(
-        status=SolveStatus.SOLVED,
-        algorithm="ccforest",
-        profile=Profile(frozenset(invest)),
+    return _report(
+        started,
+        profile=invest,
         value=Fraction(best_q, scaled.scale),
-        elapsed=time.perf_counter() - started,
         table_entries=_table_entry_count(tables),
     )

@@ -9,10 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
-from fractions import Fraction
 
-from .ccforest import solve_esw_ccforest, solve_psne_ccforest, solve_usw_ccforest
 from .critical_clique import build_cc_graph, is_forest
 from .decomposition import (
     HEURISTICS,
@@ -42,27 +39,15 @@ from .instance_io import (
     parse_instance,
     serialize_instance,
 )
-from .oracle import (
-    LimitExceeded,
-    OracleLimits,
-    first_psne,
-    max_esw,
-    max_usw,
-)
+from .oracle import LimitExceeded, OracleLimits
 from .report import SolveReport, SolveStatus
 from .reductions import reduce_3ris, reduce_clique_to_uswc, reduce_rbds_to_eswc
-from .treewidth import (
-    solve_esw_treewidth,
-    solve_psne_treewidth,
-    solve_usw_treewidth,
-)
+from .solver import ALGORITHMS, solve
 
 EXIT_SOLVED = 0
 EXIT_INPUT_ERROR = 1
 EXIT_NO_PSNE = 2
 EXIT_NOT_APPLICABLE = 3
-
-ALGORITHMS = ("auto", "brute", "ccforest", "treewidth")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -121,75 +106,11 @@ def _load_td(args, game: Game) -> TreeDecomposition | None:
     return td
 
 
-def _brute_report(kind: str, game: Game, limits: OracleLimits) -> SolveReport:
-    started = time.perf_counter()
-    if kind == "psne":
-        profile = first_psne(game, limits)
-        status = SolveStatus.SOLVED if profile is not None else SolveStatus.NO_PSNE
-        return SolveReport(
-            status=status,
-            algorithm="brute",
-            profile=profile,
-            elapsed=time.perf_counter() - started,
-        )
-    solver = max_usw if kind == "usw" else max_esw
-    profile, value = solver(game, limits)
-    return SolveReport(
-        status=SolveStatus.SOLVED,
-        algorithm="brute",
-        profile=profile,
-        value=value,
-        elapsed=time.perf_counter() - started,
-    )
-
-
-_DP_SOLVERS = {
-    ("psne", "ccforest"): solve_psne_ccforest,
-    ("usw", "ccforest"): solve_usw_ccforest,
-    ("esw", "ccforest"): solve_esw_ccforest,
-    ("psne", "treewidth"): solve_psne_treewidth,
-    ("usw", "treewidth"): solve_usw_treewidth,
-    ("esw", "treewidth"): solve_esw_treewidth,
-}
-
-
 def _solve_command(kind: str, args) -> int:
     game = parse_instance(_read_text(args.instance))
     td = _load_td(args, game)
     limits = OracleLimits(max_players=args.oracle_limit)
-    algo = args.algo
-    if td is not None and algo in ("brute", "ccforest"):
-        raise ValueError("--td only makes sense with --algo treewidth or auto")
-    if algo == "auto":
-        if td is not None:
-            algo = "treewidth"
-        elif is_forest(build_cc_graph(game.graph)):
-            algo = "ccforest"
-        else:
-            heuristic = heuristic_decomposition(game.graph, "min_fill")
-            if heuristic.width() <= args.width_cap:
-                algo, td = "treewidth", heuristic
-            elif game.graph.player_count <= args.oracle_limit:
-                algo = "brute"
-            else:
-                report = SolveReport(
-                    status=SolveStatus.NOT_APPLICABLE,
-                    algorithm="auto",
-                    detail=(
-                        "no solver applies: the critical clique graph is not "
-                        f"a forest, the heuristic decomposition width "
-                        f"{heuristic.width()} exceeds the cap {args.width_cap}, "
-                        f"and {game.graph.player_count} players exceed the "
-                        f"brute-force limit {args.oracle_limit}"
-                    ),
-                )
-                return _print_solve(kind, report, args.machine)
-    if algo == "brute":
-        report = _brute_report(kind, game, limits)
-    elif algo == "ccforest":
-        report = _DP_SOLVERS[(kind, "ccforest")](game)
-    else:
-        report = _DP_SOLVERS[(kind, "treewidth")](game, td)
+    report = solve(game, kind, args.algo, td, limits, args.width_cap)
     return _print_solve(kind, report, args.machine)
 
 

@@ -99,7 +99,7 @@ def validate_decomposition(td: TreeDecomposition, graph: Graph) -> list[Violatio
     then per-vertex connectivity), each group in ascending witness order.
     """
     violations: list[Violation] = []
-    in_bags: dict[int, list[int]] = {v: [] for v in range(graph.player_count)}
+    in_bags: list[list[int]] = [[] for _ in range(graph.player_count)]
     foreign: list[tuple[int, int]] = []
     for i, bag in enumerate(td.bags):
         for v in bag:
@@ -114,9 +114,9 @@ def validate_decomposition(td: TreeDecomposition, graph: Graph) -> list[Violatio
     for v in range(graph.player_count):
         if not in_bags[v]:
             violations.append(Violation("vertex-cover", f"vertex {v} is in no bag"))
-    bag_sets = [set(bag) for bag in td.bags]
-    for u, v in graph.edges:
-        if not any(u in bag and v in bag for bag in bag_sets):
+    holding_sets = [set(holding) for holding in in_bags]
+    for u, v in sorted(graph.edges):
+        if holding_sets[u].isdisjoint(holding_sets[v]):
             violations.append(
                 Violation("edge-cover", f"edge ({u}, {v}) is contained in no bag")
             )
@@ -125,7 +125,7 @@ def validate_decomposition(td: TreeDecomposition, graph: Graph) -> list[Violatio
         holding = in_bags[v]
         if len(holding) <= 1:
             continue
-        holding_set = set(holding)
+        holding_set = holding_sets[v]
         reached = {holding[0]}
         queue = deque([holding[0]])
         while queue:
@@ -149,9 +149,6 @@ def validate_decomposition(td: TreeDecomposition, graph: Graph) -> list[Violatio
 # ---------------------------------------------------------------------------
 # Nice form
 # ---------------------------------------------------------------------------
-
-NICE_KINDS = ("leaf", "introduce", "forget", "join")
-
 
 @dataclass(frozen=True)
 class NiceTreeDecomposition:

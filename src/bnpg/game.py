@@ -14,19 +14,35 @@ the value they report.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 Rational = Fraction | int | str
 
 
+# An integer, a decimal a.b or a ratio p/q, in ASCII digits.  `Fraction()`
+# alone would also take exponents, so a 9-byte "1e1000000" would become a
+# 3.3-million-bit integer.
+_RATIONAL_TOKEN = re.compile(r"[+-]?[0-9]+(?:\.[0-9]+|/[0-9]+)?")
+
+
 def as_fraction(value: Rational) -> Fraction:
-    """Coerce ints, exact decimal strings ("1.5") or ratio strings ("3/4")."""
+    """Coerce ints and exact strings: integers ("3"), decimals ("1.5") or
+    ratios ("3/4"), in ASCII digits.  Any other string, or a zero
+    denominator, raises ValueError."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)):
+    if isinstance(value, int):
         return Fraction(value)
+    if isinstance(value, str):
+        if _RATIONAL_TOKEN.fullmatch(value):
+            try:
+                return Fraction(value)
+            except ZeroDivisionError:
+                pass
+        raise ValueError(f"not an exact rational: {value!r}")
     raise TypeError(f"not an exact rational: {value!r}")
 
 
@@ -179,10 +195,6 @@ class Profile:
         """Number of investors in v's closed neighborhood."""
         return len(graph.closed_neighbors(v) & self.investing)
 
-    def open_count(self, graph: Graph, v: int) -> int:
-        """Number of investing (open) neighbors of v."""
-        return len(graph.neighbors(v) & self.investing)
-
     def validate_for(self, game: Game) -> None:
         for v in self.investing:
             if not (0 <= v < game.player_count):
@@ -299,43 +311,27 @@ def payoff_levels(game: Game) -> list[Fraction]:
     return [Fraction(level, scaled.scale) for level in scaled.levels]
 
 
-@dataclass(frozen=True)
-class SubgameView:
-    """An induced subgame plus the index bookkeeping to map profiles back.
+def max_feasible_threshold(candidates: Sequence[int], probe: Callable):
+    """The largest feasible candidate, by binary search.
 
-    View player i corresponds to parent player kept[i].  Externality tables
-    are truncated to the induced degree+2 entries; costs carry over.
+    `candidates` ascend, and feasibility is monotone: every candidate below
+    a feasible one is feasible.  `candidates[0]` must be feasible.
+    `probe(q)` returns None when q is infeasible, or else what it built to
+    decide.  Returns `(q, probe(q))` for the largest feasible q, or
+    `(candidates[0], None)` if even that one is not.  The last feasible
+    probe's result is kept, so no candidate is probed twice and
+    `candidates[0]` only when it wins: at most ceil(log2 L) + 1 probes for
+    L candidates, and ceil(log2 L) when the winner is not `candidates[0]`.
     """
-
-    parent: Game
-    kept: tuple[int, ...]
-    game: Game
-
-    def to_parent(self, profile: Profile) -> Profile:
-        return Profile(frozenset(self.kept[i] for i in profile.investing))
-
-    def to_view(self, parent_profile: Profile) -> Profile:
-        back = {p: i for i, p in enumerate(self.kept)}
-        return Profile(
-            frozenset(back[p] for p in parent_profile.investing if p in back)
-        )
-
-
-def induce_subgame(game: Game, players: Iterable[int]) -> SubgameView:
-    """Restrict the game to a player subset (reindexed in sorted order)."""
-    kept = tuple(sorted(set(players)))
-    for p in kept:
-        if not (0 <= p < game.player_count):
-            raise IndexError(f"player {p} out of range")
-    back = {p: i for i, p in enumerate(kept)}
-    edges = frozenset(
-        (back[u], back[v])
-        for u, v in game.graph.edges
-        if u in back and v in back
-    )
-    sub_graph = Graph(len(kept), edges)
-    tables = tuple(
-        game.externality[p][: sub_graph.degree(i) + 2] for i, p in enumerate(kept)
-    )
-    costs = tuple(game.cost[p] for p in kept)
-    return SubgameView(game, kept, Game(sub_graph, tables, costs))
+    lo, hi = 0, len(candidates) - 1
+    found = None
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        result = probe(candidates[mid])
+        if result is None:
+            hi = mid - 1
+        else:
+            lo, found = mid, result
+    if found is None:
+        found = probe(candidates[0])
+    return candidates[lo], found

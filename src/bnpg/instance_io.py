@@ -1,4 +1,4 @@
-"""Textual instance format, profile format, and seeded instance generators.
+"""Textual instance and graph formats, and seeded instance generators.
 
 Instance format (one directive per line, "#" lines are comments)::
 
@@ -19,11 +19,10 @@ exactly.
 from __future__ import annotations
 
 import random
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .game import Game, Graph, Profile
+from .game import Game, Graph, as_fraction
 
 
 class ParseError(ValueError):
@@ -35,18 +34,10 @@ class ParseError(ValueError):
         self.line = line
 
 
-# An integer, a decimal a.b or a ratio p/q, in ASCII digits.  `Fraction()`
-# alone would also take exponents, so a 9-byte "1e1000000" would become a
-# 3.3-million-bit integer.
-_RATIONAL_TOKEN = re.compile(r"[+-]?[0-9]+(?:\.[0-9]+|/[0-9]+)?")
-
-
 def _rational(token: str, line: int, what: str) -> Fraction:
-    if not _RATIONAL_TOKEN.fullmatch(token):
-        raise ParseError(line, f"{what} is not an exact rational: {token!r}")
     try:
-        value = Fraction(token)
-    except (ValueError, ZeroDivisionError):
+        value = as_fraction(token)
+    except ValueError:
         raise ParseError(line, f"{what} is not an exact rational: {token!r}") from None
     if value < 0:
         raise ParseError(line, f"{what} must be nonnegative, got {token}")
@@ -182,37 +173,6 @@ def serialize_instance(game: Game) -> str:
             for k, x in enumerate(game.externality[v])
         ]
     return "\n".join(out) + "\n"
-
-
-def parse_profile(text: str) -> Profile:
-    """Parse "profile: -" (empty) or "profile: 0 2" into a Profile."""
-    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
-    if len(lines) != 1:
-        raise ParseError(1, "expected exactly one profile line")
-    idx, line = lines[0]
-    parts = line.split()
-    if not parts or parts[0] != "profile:":
-        raise ParseError(idx, "profile line must start with 'profile:'")
-    body = parts[1:]
-    if body == ["-"]:
-        return Profile.of()
-    if not body:
-        raise ParseError(idx, "empty profile is written 'profile: -'")
-    players = []
-    for token in body:
-        p = _int(token, idx, "player index")
-        if p < 0:
-            raise ParseError(idx, f"player index must be >= 0, got {p}")
-        players.append(p)
-    if len(set(players)) != len(players):
-        raise ParseError(idx, "duplicate player in profile")
-    return Profile.of(*players)
-
-
-def serialize_profile(profile: Profile) -> str:
-    if not profile.investing:
-        return "profile: -"
-    return "profile: " + " ".join(str(v) for v in sorted(profile.investing))
 
 
 def parse_graph(text: str) -> tuple[Graph, frozenset[int]]:

@@ -24,7 +24,7 @@ from .decomposition import (
     to_nice,
     validate_nice,
 )
-from .game import Game, Profile, ScaledGame, scale_game
+from .game import Game, Profile, ScaledGame, max_feasible_threshold, scale_game
 from .report import SolveReport, SolveStatus
 
 # A state key: (sorted tuple of investing bag vertices,
@@ -148,7 +148,7 @@ def _sweep(
     return tables, witnesses
 
 
-def _replay(ntd: NiceTreeDecomposition, witnesses: list[dict]) -> set[int]:
+def _replay(ntd: NiceTreeDecomposition, witnesses: list[dict]) -> Profile:
     """Walk the chosen root state back down, reading actions at forgets."""
     invest: set[int] = set()
     stack: list[tuple[int, StateKey]] = [(ntd.root, EMPTY_STATE)]
@@ -169,11 +169,27 @@ def _replay(ntd: NiceTreeDecomposition, witnesses: list[dict]) -> set[int]:
             left, right = ntd.children[i]
             stack.append((left, wit[0]))
             stack.append((right, wit[1]))
-    return invest
+    return Profile(frozenset(invest))
 
 
-def _entry_count(tables: list[dict]) -> int:
-    return sum(len(t) for t in tables)
+def _report(
+    started: float,
+    ntd: NiceTreeDecomposition,
+    tables: list[dict],
+    witnesses: "list[dict] | None",
+    value: Fraction | None = None,
+) -> SolveReport:
+    """SOLVED with the profile replayed from `witnesses`, or NO_PSNE
+    without them; timed from `started`."""
+    return SolveReport(
+        status=SolveStatus.NO_PSNE if witnesses is None else SolveStatus.SOLVED,
+        algorithm="treewidth",
+        profile=None if witnesses is None else _replay(ntd, witnesses),
+        value=value,
+        elapsed=time.perf_counter() - started,
+        table_entries=sum(len(t) for t in tables),
+        detail=f"decomposition width {ntd.width()}",
+    )
 
 
 def solve_psne_treewidth(
@@ -185,24 +201,9 @@ def solve_psne_treewidth(
     ntd = prepare_decomposition(game, decomposition)
     scaled = scale_game(game)
     tables, witnesses = _sweep(game, ntd, score=None, settle_filter=scaled.stable)
-    detail = f"decomposition width {ntd.width()}"
     if EMPTY_STATE not in tables[ntd.root]:
-        return SolveReport(
-            status=SolveStatus.NO_PSNE,
-            algorithm="treewidth",
-            elapsed=time.perf_counter() - started,
-            table_entries=_entry_count(tables),
-            detail=detail,
-        )
-    invest = _replay(ntd, witnesses)
-    return SolveReport(
-        status=SolveStatus.SOLVED,
-        algorithm="treewidth",
-        profile=Profile(frozenset(invest)),
-        elapsed=time.perf_counter() - started,
-        table_entries=_entry_count(tables),
-        detail=detail,
-    )
+        return _report(started, ntd, tables, None)
+    return _report(started, ntd, tables, witnesses)
 
 
 def solve_usw_treewidth(
@@ -214,17 +215,8 @@ def solve_usw_treewidth(
     ntd = prepare_decomposition(game, decomposition)
     scaled = scale_game(game)
     tables, witnesses = _sweep(game, ntd, score=scaled, settle_filter=None)
-    value = tables[ntd.root][EMPTY_STATE]
-    invest = _replay(ntd, witnesses)
-    return SolveReport(
-        status=SolveStatus.SOLVED,
-        algorithm="treewidth",
-        profile=Profile(frozenset(invest)),
-        value=Fraction(value, scaled.scale),
-        elapsed=time.perf_counter() - started,
-        table_entries=_entry_count(tables),
-        detail=f"decomposition width {ntd.width()}",
-    )
+    value = Fraction(tables[ntd.root][EMPTY_STATE], scaled.scale)
+    return _report(started, ntd, tables, witnesses, value)
 
 
 def solve_esw_treewidth(
@@ -238,35 +230,20 @@ def solve_esw_treewidth(
     ntd = prepare_decomposition(game, decomposition)
     scaled = scale_game(game)
     ext, cost = scaled.ext, scaled.cost
-    candidates = scaled.levels
 
-    def sweep_at(q: int):
+    def probe(q: int):
+        """(tables, witnesses) when "every payoff >= q" is feasible."""
+
         def above(v: int, invests: bool, k: int) -> bool:
             value = ext[v][k]
             if invests:
                 value -= cost[v]
             return value >= q
 
-        return _sweep(game, ntd, score=None, settle_filter=above)
+        tables, witnesses = _sweep(game, ntd, score=None, settle_filter=above)
+        return (tables, witnesses) if EMPTY_STATE in tables[ntd.root] else None
 
-    lo, hi = 0, len(candidates) - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        tables, _ = sweep_at(candidates[mid])
-        if EMPTY_STATE in tables[ntd.root]:
-            lo = mid
-        else:
-            hi = mid - 1
-    best_q = candidates[lo]
-    tables, witnesses = sweep_at(best_q)
-    assert EMPTY_STATE in tables[ntd.root], "the smallest payoff level is always feasible"
-    invest = _replay(ntd, witnesses)
-    return SolveReport(
-        status=SolveStatus.SOLVED,
-        algorithm="treewidth",
-        profile=Profile(frozenset(invest)),
-        value=Fraction(best_q, scaled.scale),
-        elapsed=time.perf_counter() - started,
-        table_entries=_entry_count(tables),
-        detail=f"decomposition width {ntd.width()}",
-    )
+    best_q, found = max_feasible_threshold(scaled.levels, probe)
+    assert found is not None, "the smallest payoff level is always feasible"
+    tables, witnesses = found
+    return _report(started, ntd, tables, witnesses, Fraction(best_q, scaled.scale))

@@ -90,6 +90,17 @@ def test_uncovered_edge_is_reported():
     assert "(2, 3)" in violations[0].detail
 
 
+def test_edge_cover_violations_come_in_ascending_order():
+    # one-vertex bags on a chain cover no edge at all
+    graph = gnp_graph(40, 0.2, random.Random(3))
+    td = TreeDecomposition(tuple((v,) for v in range(40)), tuple((v, v + 1) for v in range(39)))
+    details = [v.detail for v in validate_decomposition(td, graph)]
+    assert details == [f"edge ({u}, {v}) is contained in no bag" for u, v in sorted(graph.edges)]
+    first = min(graph.edges)
+    with pytest.raises(ValueError, match=rf"edge-cover: edge \({first[0]}, {first[1]}\)"):
+        to_nice(td, graph)
+
+
 def test_disconnected_trace_is_reported():
     # vertex 1 appears in bags 0 and 2 but not in the bag between them
     td = TreeDecomposition(((0, 1), (0, 2), (1, 2), (2, 3)), ((0, 1), (1, 2), (2, 3)))

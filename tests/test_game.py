@@ -1,4 +1,4 @@
-"""Core semantics: graphs, payoffs, stability, welfare, subgames."""
+"""Core semantics: graphs, payoffs, stability, welfare, exact coercion."""
 
 import math
 import random
@@ -14,9 +14,9 @@ from bnpg.game import (
     Profile,
     deviation_gain,
     esw,
-    induce_subgame,
     is_psne,
     is_stable,
+    max_feasible_threshold,
     payoff,
     payoff_levels,
     scale_game,
@@ -120,6 +120,23 @@ def test_build_coerces_strings_and_ints():
     assert game.cost[0] == Fraction(1, 4)
 
 
+@pytest.mark.parametrize(
+    "token", ["1e1000000", "2.5E3", ".5", "5.", "1_000", "\u0661", " 3", "1/0"]
+)
+def test_build_rejects_strings_that_are_not_exact_rationals(token):
+    # the instance parser's grammar: [+-]?[0-9]+ then optionally .[0-9]+ or /[0-9]+
+    with pytest.raises(ValueError, match="not an exact rational"):
+        Game.build(Graph.from_edges(1, []), [(0, 0)], [token])
+    with pytest.raises(ValueError, match="not an exact rational"):
+        Game.build(Graph.from_edges(1, []), [(token, 0)], [0])
+
+
+def test_build_accepts_every_form_of_the_number_grammar():
+    game = Game.build(Graph.from_edges(1, []), [("3/4", "+2")], ["007.50"])
+    assert game.externality[0] == (Fraction(3, 4), Fraction(2))
+    assert game.cost[0] == Fraction(15, 2)
+
+
 # ---------------------------------------------------------------------------
 # Payoffs and deviation
 # ---------------------------------------------------------------------------
@@ -217,6 +234,33 @@ def test_profile_validation_rejects_out_of_range():
 
 
 # ---------------------------------------------------------------------------
+# Threshold search
+# ---------------------------------------------------------------------------
+
+
+@given(st.integers(1, 40), st.data())
+@settings(max_examples=300, deadline=None)
+def test_threshold_search_matches_a_linear_scan(length, data):
+    # a monotone predicate: candidates[0..last] feasible, the rest not
+    last = data.draw(st.integers(0, length - 1))
+    candidates = sorted(data.draw(st.sets(st.integers(-50, 50), min_size=length, max_size=length)))
+    probed = []
+
+    def probe(q):
+        probed.append(q)
+        return ("tables at", q) if candidates.index(q) <= last else None
+
+    best = max(q for i, q in enumerate(candidates) if i <= last)  # the linear scan
+    assert max_feasible_threshold(candidates, probe) == (best, ("tables at", best))
+    assert len(probed) == len(set(probed)), "a candidate was probed twice"
+    bound = math.ceil(math.log2(length))
+    if last == 0:  # only candidates[0] is feasible, and it is probed last
+        assert len(probed) <= bound + 1 and probed[-1] == candidates[0]
+    else:
+        assert len(probed) <= bound and candidates[0] not in probed
+
+
+# ---------------------------------------------------------------------------
 # Welfare
 # ---------------------------------------------------------------------------
 
@@ -246,53 +290,3 @@ def test_usw_is_sum_and_esw_is_min(pair):
     pays = [payoff(game, profile, v) for v in range(game.graph.player_count)]
     assert usw(game, profile) == sum(pays)
     assert esw(game, profile) == min(pays)
-
-
-# ---------------------------------------------------------------------------
-# Induced subgames
-# ---------------------------------------------------------------------------
-
-
-def test_subgame_keeps_only_internal_edges():
-    game = best_shot_game(path_graph(4))
-    view = induce_subgame(game, [0, 1, 3])
-    assert view.game.graph.edges == frozenset({(0, 1)})
-    assert view.kept == (0, 1, 3)
-
-
-def test_subgame_truncates_externality_tables():
-    game = best_shot_game(path_graph(3))
-    view = induce_subgame(game, [0, 1])  # vertex 1 loses a neighbor
-    assert len(view.game.externality[1]) == 3
-    assert view.game.externality[1] == game.externality[1][:3]
-
-
-def test_subgame_profile_round_trip():
-    game = best_shot_game(path_graph(4))
-    view = induce_subgame(game, [1, 2, 3])
-    inner = Profile.of(0, 2)  # players 1 and 3 of the parent
-    assert view.to_parent(inner) == Profile.of(1, 3)
-    assert view.to_view(view.to_parent(inner)) == inner
-
-
-def test_subgame_of_rejects_unknown_players():
-    game = best_shot_game(path_graph(3))
-    with pytest.raises(IndexError):
-        induce_subgame(game, [0, 9])
-
-
-@given(games(min_n=2, max_n=6), st.data())
-@settings(max_examples=100, deadline=None)
-def test_subgame_payoffs_match_isolated_restriction(game, data):
-    # If the discarded players never invest, a kept player's payoff in the
-    # subgame equals its payoff in the full game.
-    n = game.graph.player_count
-    kept = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
-    view = induce_subgame(game, kept)
-    investing = data.draw(st.sets(st.sampled_from(sorted(kept))))
-    sub_profile = view.to_view(Profile(frozenset(investing)))
-    parent_profile = view.to_parent(sub_profile)
-    for i, p in enumerate(view.kept):
-        assert payoff(view.game, sub_profile, i) == payoff(
-            game, parent_profile, p
-        )

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from bnpg.critical_clique import build_cc_graph
 from bnpg.decomposition import heuristic_decomposition
-from bnpg.game import Game, Graph, Profile
+from bnpg.game import Game, Graph
 from bnpg.instance_io import (
     GameSpec,
     ParseError,
@@ -17,10 +17,8 @@ from bnpg.instance_io import (
     gen_random_game,
     parse_graph,
     parse_instance,
-    parse_profile,
     serialize_graph,
     serialize_instance,
-    serialize_profile,
 )
 
 from helpers import gnp_graph, random_game
@@ -162,29 +160,6 @@ def test_format_rational():
     assert format_rational(Fraction(3)) == "3"
     assert format_rational(Fraction(7, 2)) == "7/2"
     assert format_rational(Fraction(0)) == "0"
-
-
-def test_profile_round_trip():
-    for profile in (Profile.of(), Profile.of(0), Profile.of(4, 1, 7)):
-        assert parse_profile(serialize_profile(profile)) == profile
-    assert serialize_profile(Profile.of()) == "profile: -"
-    assert serialize_profile(Profile.of(2, 0)) == "profile: 0 2"
-
-
-@pytest.mark.parametrize(
-    "text, fragment",
-    [
-        ("", "exactly one profile line"),
-        ("profile: 1\nprofile: 2\n", "exactly one profile line"),
-        ("investors: 1\n", "must start with 'profile:'"),
-        ("profile:\n", "written 'profile: -'"),
-        ("profile: 1 1\n", "duplicate player"),
-        ("profile: x\n", "not an integer"),
-    ],
-)
-def test_profile_errors(text, fragment):
-    with pytest.raises(ParseError, match=fragment.replace("(", "\\(")):
-        parse_profile(text)
 
 
 def test_graph_round_trip():
