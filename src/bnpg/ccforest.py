@@ -18,7 +18,6 @@ from .critical_clique import (
     CriticalCliqueGraph,
     RootedForest,
     build_cc_graph,
-    is_forest,
     rooted_forest,
 )
 from .game import Game, Profile, ScaledGame, max_feasible_threshold, scale_game
@@ -222,20 +221,21 @@ def _report(
 
 
 def _forest_or_report(game: Game, started: float):
+    """(cc, rooted forest, None), or (cc, None, a NOT_APPLICABLE report)
+    when the critical clique graph is not a forest."""
     cc = build_cc_graph(game.graph)
-    if is_forest(cc):
-        return cc, None
-    detail = "critical clique graph is not a forest"
-    return cc, _report(started, SolveStatus.NOT_APPLICABLE, detail=detail)
+    try:
+        return cc, rooted_forest(cc), None
+    except ValueError as exc:
+        return cc, None, _report(started, SolveStatus.NOT_APPLICABLE, detail=str(exc))
 
 
 def solve_psne_ccforest(game: Game) -> SolveReport:
     """Find a pure Nash equilibrium, or prove none exists."""
     started = time.perf_counter()
-    cc, bail = _forest_or_report(game, started)
+    cc, rf, bail = _forest_or_report(game, started)
     if bail is not None:
         return bail
-    rf = rooted_forest(cc)
     scaled = scale_game(game)
     bound_cache: dict[int, list[Bounds]] = {}
 
@@ -308,10 +308,9 @@ def _maxplus(acc: list[int | None], best: list[int | None]):
 def solve_usw_ccforest(game: Game) -> SolveReport:
     """Maximize the sum of payoffs (the organizer dictates every action)."""
     started = time.perf_counter()
-    cc, bail = _forest_or_report(game, started)
+    cc, rf, bail = _forest_or_report(game, started)
     if bail is not None:
         return bail
-    rf = rooted_forest(cc)
     cliques = cc.cliques
     scaled = scale_game(game)
     ext, cost = scaled.ext, scaled.cost
@@ -424,10 +423,9 @@ def solve_esw_ccforest(game: Game) -> SolveReport:
     started = time.perf_counter()
     if game.player_count == 0:
         raise ValueError("egalitarian welfare is undefined for a zero-player game")
-    cc, bail = _forest_or_report(game, started)
+    cc, rf, bail = _forest_or_report(game, started)
     if bail is not None:
         return bail
-    rf = rooted_forest(cc)
     scaled = scale_game(game)
 
     def probe(q: int):

@@ -93,9 +93,11 @@ class RootedForest:
 
 
 def rooted_forest(cc: CriticalCliqueGraph) -> RootedForest:
-    """Root each tree of the clique forest at its lowest clique index."""
-    if not is_forest(cc):
-        raise ValueError("critical clique graph is not a forest")
+    """Root each tree of the clique forest at its lowest clique index.
+
+    Raises ValueError when the clique graph is not a forest.  The graph is
+    built once; the search that roots it also counts its components.
+    """
     cg = cc.clique_graph()
     t = cg.player_count
     parent: list[int | None] = [None] * t
@@ -116,6 +118,8 @@ def rooted_forest(cc: CriticalCliqueGraph) -> RootedForest:
                     parent[nb] = node
                     children[node].append(nb)
                     queue.append(nb)
+    if len(cg.edges) != t - len(roots):
+        raise ValueError("critical clique graph is not a forest")
     return RootedForest(
         tuple(roots),
         tuple(parent),

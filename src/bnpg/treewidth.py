@@ -5,14 +5,18 @@ currently investing, and f counts, for each bag vertex, its already-forgotten
 investing neighbors.  A vertex is *settled* when it is forgotten — at that
 moment every neighbor is either still in the bag or already forgotten, so its
 final closed-neighborhood investor count is known and the objective can act
-on it (equilibrium stability check, payoff sum, or payoff threshold).
+on it: PSNE keeps only stable settlements, USW adds payoffs (max, +), and
+ESW takes their minimum (max, min), all in one sweep.
 
 Joins combine same-U states by adding their forgotten-neighbor counts; the
-two subtrees settle disjoint vertex sets, so sums and counts never double.
+two subtrees settle disjoint vertex sets, so counts and objectives never
+double.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import time
 from fractions import Fraction
 from typing import Callable
@@ -24,12 +28,12 @@ from .decomposition import (
     to_nice,
     validate_nice,
 )
-from .game import Game, Profile, ScaledGame, max_feasible_threshold, scale_game
+from .game import Game, Profile, ScaledGame, scale_game
 from .report import SolveReport, SolveStatus
 
 # A state key: (sorted tuple of investing bag vertices,
-#               sorted (vertex, count) pairs with count > 0)
-StateKey = tuple[tuple[int, ...], tuple[tuple[int, int], ...]]
+#               forgotten investing neighbors of each bag vertex, in bag order)
+StateKey = tuple[tuple[int, ...], tuple[int, ...]]
 
 EMPTY_STATE: StateKey = ((), ())
 
@@ -60,36 +64,39 @@ def prepare_decomposition(
 def _sweep(
     game: Game,
     ntd: NiceTreeDecomposition,
-    score: ScaledGame | None,
-    settle_filter: "Callable[[int, bool, int], bool] | None",
+    contribution: list,
+    combine: Callable,
+    identity,
 ):
     """One bottom-up pass; returns (tables, witnesses).
 
-    With `score` None, tables[i] maps StateKey -> True (feasibility);
-    otherwise it maps StateKey -> the best welfare in `score`'s scaled ints.
-    witnesses[i] maps StateKey -> the child key(s) it came from, so a chosen
-    root state can be replayed downward into a full profile.
+    A state's objective folds `combine` over its settled players, from
+    `identity` at the leaves: `contribution[v][invests][k]` is what v adds
+    when it settles with k closed-neighborhood investors, or None to drop
+    the state.  tables[i] keeps the best objective per StateKey, and
+    witnesses[i] the child keys it came from, one per child.  Child tables
+    are read in insertion order, which the decomposition fixes, so ties
+    break the same way on every run.
     """
     nbr = [game.graph.neighbors(v) for v in range(game.graph.player_count)]
-    scoring = score is not None
-    if scoring:
-        ext, cost = score.ext, score.cost
-    tables: list[dict] = [None] * len(ntd.bags)
-    witnesses: list[dict] = [None] * len(ntd.bags)
+    bags = ntd.bags
+    tables: list[dict] = [None] * len(bags)
+    witnesses: list[dict] = [None] * len(bags)
     for i in ntd.postorder:
         kind = ntd.kinds[i]
         table: dict = {}
         witness: dict = {}
         if kind == "leaf":
-            table[EMPTY_STATE] = 0 if scoring else True
+            table[EMPTY_STATE] = identity
             witness[EMPTY_STATE] = ()
         elif kind == "introduce":
-            child = ntd.children[i][0]
             u = ntd.distinguished[i]
-            for key, val in sorted(tables[child].items()):
+            at = bags[i].index(u)
+            for key, val in tables[ntd.children[i][0]].items():
                 investors, counts = key
-                # the newcomer has no forgotten neighbors (its edges are
-                # covered by bags at or above this node), so counts carry over
+                # the newcomer has no forgotten neighbors yet: its edges are
+                # covered by bags at or above this node
+                counts = counts[:at] + (0,) + counts[at:]
                 abstain_key = (investors, counts)
                 invest_key = (tuple(sorted(investors + (u,))), counts)
                 table[abstain_key] = val
@@ -100,47 +107,41 @@ def _sweep(
             child = ntd.children[i][0]
             v = ntd.distinguished[i]
             v_nbrs = nbr[v]
-            bag = ntd.bags[i]
-            for key, val in sorted(tables[child].items()):
+            at = bags[child].index(v)
+            bump = tuple(1 if x in v_nbrs else 0 for x in bags[i])
+            rows = contribution[v]
+            for key, val in tables[child].items():
                 investors, counts = key
                 invests = v in investors
-                fmap = dict(counts)
-                k = (
-                    fmap.pop(v, 0)
-                    + sum(1 for x in investors if x in v_nbrs)
-                    + (1 if invests else 0)
-                )
-                if settle_filter is not None and not settle_filter(v, invests, k):
+                k = counts[at] + sum(1 for x in investors if x in v_nbrs) + invests
+                adds = rows[invests][k]
+                if adds is None:
                     continue
-                if scoring:
-                    new_val = val + ext[v][k]
-                    if invests:
-                        new_val -= cost[v]
-                else:
-                    new_val = True
-                new_investors = tuple(x for x in investors if x != v)
+                new_val = combine(val, adds)
+                counts = counts[:at] + counts[at + 1 :]
                 if invests:
-                    for x in bag:
-                        if x in v_nbrs:
-                            fmap[x] = fmap.get(x, 0) + 1
-                new_key = (new_investors, tuple(sorted(fmap.items())))
-                if new_key not in table or (scoring and new_val > table[new_key]):
+                    new_key = (
+                        tuple(x for x in investors if x != v),
+                        tuple(map(operator.add, counts, bump)),
+                    )
+                else:
+                    new_key = (investors, counts)
+                old = table.get(new_key)
+                if old is None or new_val > old:
                     table[new_key] = new_val
                     witness[new_key] = (key,)
         else:  # join
             left, right = ntd.children[i]
             grouped: dict[tuple[int, ...], list] = {}
-            for key, val in sorted(tables[right].items()):
+            for key, val in tables[right].items():
                 grouped.setdefault(key[0], []).append((key, val))
-            for key_l, val_l in sorted(tables[left].items()):
-                investors = key_l[0]
+            for key_l, val_l in tables[left].items():
+                investors, counts_l = key_l
                 for key_r, val_r in grouped.get(investors, ()):
-                    fmap = dict(key_l[1])
-                    for x, c in key_r[1]:
-                        fmap[x] = fmap.get(x, 0) + c
-                    new_key = (investors, tuple(sorted(fmap.items())))
-                    new_val = (val_l + val_r) if scoring else True
-                    if new_key not in table or (scoring and new_val > table[new_key]):
+                    new_key = (investors, tuple(map(operator.add, counts_l, key_r[1])))
+                    new_val = combine(val_l, val_r)
+                    old = table.get(new_key)
+                    if old is None or new_val > old:
                         table[new_key] = new_val
                         witness[new_key] = (key_l, key_r)
         tables[i] = table
@@ -154,21 +155,10 @@ def _replay(ntd: NiceTreeDecomposition, witnesses: list[dict]) -> Profile:
     stack: list[tuple[int, StateKey]] = [(ntd.root, EMPTY_STATE)]
     while stack:
         i, key = stack.pop()
-        kind = ntd.kinds[i]
-        wit = witnesses[i][key]
-        if kind == "leaf":
-            continue
-        if kind == "forget":
-            child_key = wit[0]
-            if ntd.distinguished[i] in child_key[0]:
-                invest.add(ntd.distinguished[i])
-            stack.append((ntd.children[i][0], child_key))
-        elif kind == "introduce":
-            stack.append((ntd.children[i][0], wit[0]))
-        else:
-            left, right = ntd.children[i]
-            stack.append((left, wit[0]))
-            stack.append((right, wit[1]))
+        child_keys = witnesses[i][key]
+        if ntd.kinds[i] == "forget" and ntd.distinguished[i] in child_keys[0][0]:
+            invest.add(ntd.distinguished[i])
+        stack.extend(zip(ntd.children[i], child_keys))
     return Profile(frozenset(invest))
 
 
@@ -192,6 +182,22 @@ def _report(
     )
 
 
+def _stability_rows(scaled: ScaledGame) -> list:
+    """PSNE contributions: True where settling is stable, else None (also
+    at counts no profile realizes: an investor counts itself, so 1..deg+1)."""
+
+    def row(v: int, invests: bool, counts: range) -> tuple:
+        return tuple(
+            True if k in counts and scaled.stable(v, invests, k) else None
+            for k in range(len(scaled.ext[v]))
+        )
+
+    return [
+        (row(v, False, range(len(g) - 1)), row(v, True, range(1, len(g))))
+        for v, g in enumerate(scaled.ext)
+    ]
+
+
 def solve_psne_treewidth(
     game: Game,
     decomposition: "TreeDecomposition | NiceTreeDecomposition | None" = None,
@@ -199,11 +205,21 @@ def solve_psne_treewidth(
     """Find a pure Nash equilibrium, or prove none exists."""
     started = time.perf_counter()
     ntd = prepare_decomposition(game, decomposition)
+    rows = _stability_rows(scale_game(game))
+    tables, witnesses = _sweep(game, ntd, rows, operator.and_, True)
+    found = EMPTY_STATE in tables[ntd.root]
+    return _report(started, ntd, tables, witnesses if found else None)
+
+
+def _best_welfare(game: Game, decomposition, combine: Callable, identity) -> SolveReport:
+    """One sweep over the scaled payoffs; the root holds the optimum."""
+    started = time.perf_counter()
+    ntd = prepare_decomposition(game, decomposition)
     scaled = scale_game(game)
-    tables, witnesses = _sweep(game, ntd, score=None, settle_filter=scaled.stable)
-    if EMPTY_STATE not in tables[ntd.root]:
-        return _report(started, ntd, tables, None)
-    return _report(started, ntd, tables, witnesses)
+    payoffs = [(g, tuple(x - c for x in g)) for g, c in zip(scaled.ext, scaled.cost)]
+    tables, witnesses = _sweep(game, ntd, payoffs, combine, identity)
+    value = Fraction(tables[ntd.root][EMPTY_STATE], scaled.scale)
+    return _report(started, ntd, tables, witnesses, value)
 
 
 def solve_usw_treewidth(
@@ -211,39 +227,20 @@ def solve_usw_treewidth(
     decomposition: "TreeDecomposition | NiceTreeDecomposition | None" = None,
 ) -> SolveReport:
     """Maximize the sum of payoffs (the organizer dictates every action)."""
-    started = time.perf_counter()
-    ntd = prepare_decomposition(game, decomposition)
-    scaled = scale_game(game)
-    tables, witnesses = _sweep(game, ntd, score=scaled, settle_filter=None)
-    value = Fraction(tables[ntd.root][EMPTY_STATE], scaled.scale)
-    return _report(started, ntd, tables, witnesses, value)
+    return _best_welfare(game, decomposition, operator.add, 0)
 
 
 def solve_esw_treewidth(
     game: Game,
     decomposition: "TreeDecomposition | NiceTreeDecomposition | None" = None,
 ) -> SolveReport:
-    """Maximize the minimum payoff via threshold search over payoff values."""
-    started = time.perf_counter()
+    """Maximize the minimum payoff, in one (max, min) sweep.
+
+    A leaf holds infinity, the identity for min; forgets and joins take the
+    min, each key keeps the max, and both are monotone, so the root holds
+    the exact max-min.  Every player settles below the root, so the value
+    is a payoff, never infinity.
+    """
     if game.player_count == 0:
         raise ValueError("egalitarian welfare is undefined for a zero-player game")
-    ntd = prepare_decomposition(game, decomposition)
-    scaled = scale_game(game)
-    ext, cost = scaled.ext, scaled.cost
-
-    def probe(q: int):
-        """(tables, witnesses) when "every payoff >= q" is feasible."""
-
-        def above(v: int, invests: bool, k: int) -> bool:
-            value = ext[v][k]
-            if invests:
-                value -= cost[v]
-            return value >= q
-
-        tables, witnesses = _sweep(game, ntd, score=None, settle_filter=above)
-        return (tables, witnesses) if EMPTY_STATE in tables[ntd.root] else None
-
-    best_q, found = max_feasible_threshold(scaled.levels, probe)
-    assert found is not None, "the smallest payoff level is always feasible"
-    tables, witnesses = found
-    return _report(started, ntd, tables, witnesses, Fraction(best_q, scaled.scale))
+    return _best_welfare(game, decomposition, min, math.inf)

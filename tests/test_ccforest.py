@@ -11,7 +11,7 @@ from bnpg.ccforest import (
     solve_psne_ccforest,
     solve_usw_ccforest,
 )
-from bnpg.critical_clique import build_cc_graph, is_forest
+from bnpg.critical_clique import CriticalCliqueGraph, build_cc_graph, is_forest
 from bnpg.game import Game, Graph, Profile, esw, is_psne, scale_game, usw
 from bnpg.oracle import enum_psne, max_esw, max_usw
 from bnpg.report import SolveStatus
@@ -234,3 +234,22 @@ def test_coprime_denominators_on_twin_clusters():
         coprime_game(twin_cluster_graph(rng.randrange(1, 10), rng), rng)
         for _ in range(30)
     )
+
+
+@pytest.mark.parametrize("solve", [solve_psne_ccforest, solve_usw_ccforest, solve_esw_ccforest])
+def test_clique_graph_is_built_once_per_solve(solve, monkeypatch):
+    calls = []
+    original = CriticalCliqueGraph.clique_graph
+
+    def counted(self):
+        calls.append(1)
+        return original(self)
+
+    monkeypatch.setattr(CriticalCliqueGraph, "clique_graph", counted)
+    rng = random.Random(112)
+    forest = random_game(random_tree(9, rng), rng)
+    assert solve(forest).status is not SolveStatus.NOT_APPLICABLE
+    assert len(calls) == 1
+    cyclic = random_game(cycle_graph(5), rng)
+    assert solve(cyclic).status is SolveStatus.NOT_APPLICABLE
+    assert len(calls) == 2

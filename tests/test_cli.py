@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, driven through main(argv)."""
 
 import io
+import os
 import random
 import shutil
 import subprocess
@@ -8,6 +9,7 @@ import sys
 
 import pytest
 
+import bnpg
 from bnpg.cli import main
 from bnpg.game import Game, Graph
 from bnpg.instance_io import (
@@ -291,3 +293,29 @@ def test_console_script_works(tmp_path):
     )
     assert proc.returncode == 0
     assert "psne=yes" in proc.stdout
+
+
+def test_answers_do_not_depend_on_the_hash_seed(tmp_path):
+    """The treewidth DP reads its tables in insertion order; two processes
+    with different string-hash seeds must print the same answers."""
+    game = gen_random_game(GameSpec("bounded_tw", n=14, width=2, seed=3, g_mode="arbitrary"))
+    inst = write(tmp_path, "tw.bnpg", serialize_instance(game))
+    src = os.path.dirname(os.path.dirname(bnpg.__file__))
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        answers = []
+        for question in ("psne", "usw", "esw"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "bnpg.cli", question, inst, "--machine", "--algo", "treewidth"],
+                capture_output=True,
+                text=True,
+                env=env,
+                timeout=60,
+            )
+            assert proc.returncode in (0, 2), proc.stderr
+            fields = machine_dict(proc.stdout)
+            fields.pop("elapsed_s")
+            answers.append(fields)
+        outputs.append(answers)
+    assert outputs[0] == outputs[1]

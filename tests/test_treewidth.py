@@ -8,6 +8,7 @@ import pytest
 from bnpg.ccforest import solve_psne_ccforest, solve_usw_ccforest, solve_esw_ccforest
 from bnpg.decomposition import heuristic_decomposition, to_nice
 from bnpg.game import Game, Graph, is_psne, scale_game, usw, esw
+from bnpg.instance_io import GameSpec, gen_random_game
 from bnpg.oracle import enum_psne, max_usw, max_esw
 from bnpg.report import SolveStatus
 from bnpg.treewidth import (
@@ -180,3 +181,76 @@ def test_coprime_denominators_on_cycles():
     _check_coprime_corpus(
         coprime_game(cycle_graph(n), rng) for n in range(3, 10) for _ in range(3)
     )
+
+
+def test_esw_makes_one_sweep(monkeypatch):
+    import bnpg.treewidth as treewidth
+
+    calls = []
+    original = treewidth._sweep
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(treewidth, "_sweep", counted)
+    game = random_game(cycle_graph(7), random.Random(120))
+    report = solve_esw_treewidth(game)
+    assert report.value == max_esw(game)[1]
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("g_mode", ["monotone", "arbitrary"])
+def test_esw_agrees_with_oracle_on_bounded_tw_games(g_mode):
+    """Width-2 games built around hubs, with the min-fill decomposition and
+    with a given nice one (min-degree, rooted at a random bag)."""
+    rng = random.Random(121)
+    for seed in range(25):
+        game = gen_random_game(GameSpec("bounded_tw", n=9, width=2, seed=seed, g_mode=g_mode))
+        g = game.graph
+        td = heuristic_decomposition(g, "min_degree")
+        given = to_nice(td, g, root_bag=rng.randrange(len(td.bags)))
+        _, best = max_esw(game)
+        for decomposition in (None, given):
+            report = solve_esw_treewidth(game, decomposition)
+            assert isinstance(report.value, Fraction)
+            assert report.value == best
+            assert esw(game, report.profile) == best
+
+
+def _joins_with_a_side_that_forgets_nothing(ntd):
+    forgets: dict[int, bool] = {}
+    for i in ntd.postorder:
+        below = any(forgets[c] for c in ntd.children[i])
+        forgets[i] = ntd.kinds[i] == "forget" or below
+    return [
+        i
+        for i, kind in enumerate(ntd.kinds)
+        if kind == "join" and not all(forgets[c] for c in ntd.children[i])
+    ]
+
+
+def test_esw_when_join_subtrees_settle_no_one():
+    """One player, and an edgeless 6-player graph under decompositions whose
+    joins have subtrees that forget no one (one side, or both): the value is
+    a payoff, never the leaves' identity for min."""
+    from bnpg.decomposition import TreeDecomposition
+
+    everyone = tuple(range(6))
+    cases = [
+        (1, None),
+        (6, None),
+        (6, TreeDecomposition(((0, 1, 2), (0, 1, 2), (3, 4, 5)), ((0, 1), (0, 2)))),
+        (6, TreeDecomposition((everyone, everyone, everyone), ((0, 1), (0, 2)))),
+    ]
+    rng = random.Random(122)
+    for n, td in cases:
+        if td is not None:
+            ntd = to_nice(td, Graph.from_edges(n, []))
+            assert _joins_with_a_side_that_forgets_nothing(ntd)
+        for _ in range(10):
+            game = random_game(Graph.from_edges(n, []), rng)
+            report = solve_esw_treewidth(game, td)
+            assert isinstance(report.value, Fraction)
+            assert report.value == max_esw(game)[1]
+            assert esw(game, report.profile) == report.value
