@@ -3,15 +3,19 @@
 Closed twins share a closed neighborhood, so every member of a critical
 clique K sees the same investor total: (investors in K) + (investors in K's
 parent clique) + (investors across K's children).  Tables are indexed by that
-triple (x, y, z); children are merged with reachable-sum bitsets (feasibility)
-or max-plus arrays (utilitarian welfare).  Applies only when the critical
-clique graph is a forest.
+triple (x, y, z).  Equilibria merge children with reachable-sum bitsets;
+utilitarian and egalitarian welfare share one sweep whose children merge by
+"max over splits of combine", with combine the sum (USW) or the minimum
+(ESW).  Applies only when the critical clique graph is a forest.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import time
 from fractions import Fraction
+from itertools import repeat
 from typing import Callable, NamedTuple, Sequence
 
 from .critical_clique import (
@@ -20,7 +24,7 @@ from .critical_clique import (
     build_cc_graph,
     rooted_forest,
 )
-from .game import Game, Profile, ScaledGame, max_feasible_threshold, scale_game
+from .game import Game, Profile, ScaledGame, lesser, scale_game
 from .report import SolveReport, SolveStatus
 
 Bounds = "tuple[int, int] | None"  # admissible investor counts inside the clique
@@ -75,7 +79,7 @@ def classify_clique_members(
 
 
 # ---------------------------------------------------------------------------
-# Feasibility DP (equilibria, and egalitarian threshold checks)
+# Feasibility DP (equilibria)
 # ---------------------------------------------------------------------------
 
 
@@ -93,29 +97,12 @@ def _psne_bounds(scaled: ScaledGame, members: tuple[int, ...]) -> list[Bounds]:
     return out
 
 
-def _esw_bounds(scaled: ScaledGame, members: tuple[int, ...], q: int) -> list[Bounds]:
-    """Admissible x-interval per total for "every member's utility >= q"
-    (q and utilities scaled)."""
-    ext, cost = scaled.ext, scaled.cost
-    top = len(ext[members[0]]) - 1
-    out: list[Bounds] = []
-    for total in range(top + 1):
-        if any(ext[v][total] < q for v in members):
-            out.append(None)  # someone is below q whatever it does
-            continue
-        barred = sum(1 for v in members if ext[v][total] - cost[v] < q)
-        out.append((0, len(members) - barred))
-    return out
-
-
 def _feasible_tables(
-    game: Game,
-    cc: CriticalCliqueGraph,
-    rf: RootedForest,
-    bounds_of: Callable[[int], list[Bounds]],
+    cc: CriticalCliqueGraph, rf: RootedForest, bounds: list[list[Bounds]]
 ) -> list[dict[tuple[int, int], int]]:
     """Per clique: (x, y) -> bitset of achievable child totals z.
 
+    `bounds[k][total]` is clique k's admissible x-interval at that total.
     Child cliques see y = x, so their feasible contributions are merged into
     a reachable-sum bitset once per x.
     """
@@ -127,7 +114,7 @@ def _feasible_tables(
         parent = rf.parent[k]
         ymax = len(cliques[parent]) if parent is not None else 0
         zmax = sum(len(cliques[j]) for j in kids)
-        bounds = bounds_of(k)
+        admissible = bounds[k]
         table = tables[k]
         for x in range(len(members) + 1):
             reach = 1
@@ -145,7 +132,7 @@ def _feasible_tables(
                 zbits = 0
                 for z in range(zmax + 1):
                     if (reach >> z) & 1:
-                        b = bounds[x + y + z]
+                        b = admissible[x + y + z]
                         if b is not None and b[0] <= x <= b[1]:
                             zbits |= 1 << z
                 if zbits:
@@ -153,30 +140,22 @@ def _feasible_tables(
     return tables
 
 
-def _root_choice(
-    tables: list[dict[tuple[int, int], int]], cliques, root: int
-) -> tuple[int, int] | None:
-    """Smallest feasible (x, z) with y = 0 at a root clique, or None."""
-    for x in range(len(cliques[root]) + 1):
-        zbits = tables[root].get((x, 0), 0)
-        if zbits:
-            return x, (zbits & -zbits).bit_length() - 1
-    return None
-
-
 def _extract_feasible(
     cc: CriticalCliqueGraph,
     rf: RootedForest,
     tables: list[dict[tuple[int, int], int]],
     choices: dict[int, tuple[int, int]],
-    investors_for: Callable[[int, int, int], list[int]],
+    scaled: ScaledGame,
 ) -> Profile:
-    """Walk chosen table entries top-down, assigning investors per clique."""
+    """Walk chosen table entries top-down, assigning investors per clique:
+    the members that must invest, then the free ones by index."""
     invest: set[int] = set()
     stack = [(root, choices[root][0], 0, choices[root][1]) for root in rf.roots]
     while stack:
         k, x, y, z = stack.pop()
-        invest.update(investors_for(k, x, x + y + z))
+        cls = classify_clique_members(scaled, cc.cliques[k], x + y + z)
+        chosen = sorted(cls.must_invest)
+        invest.update(chosen + sorted(cls.free)[: x - len(chosen)])
         kids = rf.children[k]
         if not kids:
             continue
@@ -237,18 +216,17 @@ def solve_psne_ccforest(game: Game) -> SolveReport:
     if bail is not None:
         return bail
     scaled = scale_game(game)
-    bound_cache: dict[int, list[Bounds]] = {}
-
-    def bounds_of(k: int) -> list[Bounds]:
-        if k not in bound_cache:
-            bound_cache[k] = _psne_bounds(scaled, cc.cliques[k])
-        return bound_cache[k]
-
-    tables = _feasible_tables(game, cc, rf, bounds_of)
+    bounds = [_psne_bounds(scaled, members) for members in cc.cliques]
+    tables = _feasible_tables(cc, rf, bounds)
     choices: dict[int, tuple[int, int]] = {}
     for root in rf.roots:
-        choice = _root_choice(tables, cc.cliques, root)
-        if choice is None:
+        # smallest feasible (x, z) with y = 0
+        for x in range(len(cc.cliques[root]) + 1):
+            zbits = tables[root].get((x, 0), 0)
+            if zbits:
+                choices[root] = (x, (zbits & -zbits).bit_length() - 1)
+                break
+        else:
             return _report(
                 started,
                 SolveStatus.NO_PSNE,
@@ -258,206 +236,157 @@ def solve_psne_ccforest(game: Game) -> SolveReport:
                     f"{cc.cliques[root][0]}"
                 ),
             )
-        choices[root] = choice
-
-    def investors_for(k: int, x: int, total: int) -> list[int]:
-        cls = classify_clique_members(scaled, cc.cliques[k], total)
-        chosen = sorted(cls.must_invest)
-        chosen += sorted(cls.free)[: x - len(chosen)]
-        return chosen
-
-    invest = _extract_feasible(cc, rf, tables, choices, investors_for)
+    invest = _extract_feasible(cc, rf, tables, choices, scaled)
     return _report(started, profile=invest, table_entries=_table_entry_count(tables))
 
 
 # ---------------------------------------------------------------------------
-# Utilitarian welfare DP
+# Welfare DP: (max, +) for USW, (max, min) for ESW
 # ---------------------------------------------------------------------------
 
 
-def _usw_child_bests(
-    tables, cliques, kids: tuple[int, ...], x: int
-) -> list[list[int | None]]:
-    """best[j][xj] = best welfare of child j's subtree contributing xj."""
-    bests = []
-    for j in kids:
-        best: list[int | None] = []
-        for xj in range(len(cliques[j]) + 1):
-            row = tables[j].get((xj, x))
-            best.append(
-                None if row is None else max(v for v in row if v is not None)
-            )
-        bests.append(best)
-    return bests
+def _usw_rule(scaled: ScaledGame, members: Sequence[int]):
+    """USW per clique: the x cheapest members by (cost, index) invest, and
+    value[x][t] is the clique's payoff sum at closed total t."""
+    ext, cost = scaled.ext, scaled.cost
+    cheap = sorted(members, key=lambda v: (cost[v], v))
+    gsum = [sum(col) for col in zip(*(ext[v] for v in members))]
+    value = [gsum]
+    paid = 0
+    for v in cheap:
+        paid += cost[v]
+        value.append([g - paid for g in gsum])
+    return value, [cheap] * len(gsum)
 
 
-def _maxplus(acc: list[int | None], best: list[int | None]):
-    out: list[int | None] = [None] * (len(acc) + len(best) - 1)
-    for s, left in enumerate(acc):
-        if left is None:
-            continue
-        for xj, right in enumerate(best):
-            if right is None:
-                continue
-            candidate = left + right
-            if out[s + xj] is None or candidate > out[s + xj]:
-                out[s + xj] = candidate
+def _esw_rule(scaled: ScaledGame, members: Sequence[int]):
+    """ESW per clique: at total t, the x members with the largest
+    g_v(t) - c(v) invest (smaller index first on ties), and value[x][t] is
+    the clique's minimum payoff.  Trading an investor for an abstainer with
+    a larger g - c never lowers that minimum, so no other choice of x
+    investors does better."""
+    ext, cost = scaled.ext, scaled.cost
+    size = len(members)
+    top = len(ext[members[0]]) - 1
+    value = [[0] * (top + 1) for _ in range(size + 1)]
+    orders = []
+    for t in range(top + 1):
+        ranked = sorted(members, key=lambda v: (cost[v] - ext[v][t], v))
+        orders.append(ranked)
+        # invested[x]: min over ranked[:x] of g - c; abstained[x]: min over
+        # ranked[x:] of g
+        invested = [math.inf]
+        for v in ranked:
+            invested.append(min(invested[-1], ext[v][t] - cost[v]))
+        abstained = math.inf
+        for x in range(size, -1, -1):
+            value[x][t] = min(invested[x], abstained)
+            if x:
+                abstained = min(abstained, ext[ranked[x - 1]][t])
+    return value, orders
+
+
+def _merge(acc: list, best: list, combine: Callable) -> list:
+    """out[s] = max over a + b = s of combine(acc[a], best[b])."""
+    out = list(map(combine, acc, repeat(best[0])))
+    last = acc[-1]
+    for b in range(1, len(best)):
+        right = best[b]
+        out.append(combine(last, right))
+        for s, left in enumerate(acc[:-1], b):
+            candidate = combine(left, right)
+            if candidate > out[s]:
+                out[s] = candidate
     return out
 
 
-def solve_usw_ccforest(game: Game) -> SolveReport:
-    """Maximize the sum of payoffs (the organizer dictates every action)."""
+def _best_welfare(game: Game, clique_rule: Callable, combine: Callable, identity):
+    """One bottom-up sweep; each root's table holds its component's optimum.
+
+    `clique_rule(scaled, members)` gives `value[x][t]`, what clique K adds
+    when x members invest at closed total t, and `order[t]`, whose first x
+    members are the investors that get it.  `tables[k][x][y][z]` folds
+    `combine` over K's subtree, and `bests[k][y][x]` is the max over z.
+    Every (x, y, z) is realized by some profile, so every entry is a value.
+    """
     started = time.perf_counter()
     cc, rf, bail = _forest_or_report(game, started)
     if bail is not None:
         return bail
     cliques = cc.cliques
     scaled = scale_game(game)
-    ext, cost = scaled.ext, scaled.cost
-    # (x, y) -> list over z of scaled subtree welfare (None = not reachable)
-    tables: list[dict[tuple[int, int], list[int | None]]] = [{} for _ in cliques]
-    cheap: list[list[int]] = []  # members sorted by (cost, index), per clique
-    for k, members in enumerate(cliques):
-        cheap.append([v for _, v in sorted((cost[v], v) for v in members)])
-
+    orders: list = [None] * len(cliques)
+    tables: list = [None] * len(cliques)
+    bests: list = [None] * len(cliques)
     for k in rf.postorder:
-        members = cliques[k]
         kids = rf.children[k]
         parent = rf.parent[k]
         ymax = len(cliques[parent]) if parent is not None else 0
-        zmax = sum(len(cliques[j]) for j in kids)
-        top = len(ext[members[0]]) - 1
-        gsum = [sum(ext[v][t] for v in members) for t in range(top + 1)]
-        cost_prefix = [0]
-        for v in cheap[k]:
-            cost_prefix.append(cost_prefix[-1] + cost[v])
-        for x in range(len(members) + 1):
-            merged: list[int | None] = [0]
-            for best in _usw_child_bests(tables, cliques, kids, x):
-                merged = _maxplus(merged, best)
-            for y in range(ymax + 1):
-                row: list[int | None] = [None] * (zmax + 1)
-                for z in range(zmax + 1):
-                    if merged[z] is not None:
-                        row[z] = gsum[x + y + z] - cost_prefix[x] + merged[z]
-                tables[k][(x, y)] = row
+        value, orders[k] = clique_rule(scaled, cliques[k])
+        table = []
+        for x, vx in enumerate(value):
+            merged = [identity]
+            for j in kids:
+                merged = _merge(merged, bests[j][x], combine)
+            width = len(merged)
+            rows = [
+                list(map(combine, vx[x + y : x + y + width], merged))
+                for y in range(ymax + 1)
+            ]
+            table.append(rows)
+        tables[k] = table
+        bests[k] = [[max(rows[y]) for rows in table] for y in range(ymax + 1)]
 
-    total_value = 0
-    choices: dict[int, tuple[int, int]] = {}
+    total = identity
+    stack = []
     for root in rf.roots:
-        best_val: int | None = None
-        best_key = (0, 0)
-        for x in range(len(cliques[root]) + 1):
-            row = tables[root].get((x, 0))
-            if row is None:
-                continue
-            for z, val in enumerate(row):
-                if val is not None and (best_val is None or val > best_val):
-                    best_val, best_key = val, (x, z)
-        assert best_val is not None
-        total_value += best_val
-        choices[root] = best_key
+        best = bests[root][0]
+        val = max(best)
+        x = best.index(val)  # the smallest x, then the smallest z
+        stack.append((root, x, 0, tables[root][x][0].index(val)))
+        total = combine(total, val)
 
     invest: set[int] = set()
-    stack = [(root, choices[root][0], 0, choices[root][1]) for root in rf.roots]
     while stack:
         k, x, y, z = stack.pop()
-        invest.update(cheap[k][:x])
+        invest.update(orders[k][x + y + z][:x])
         kids = rf.children[k]
-        if not kids:
-            continue
-        bests = _usw_child_bests(tables, cliques, kids, x)
-        prefix: list[list[int | None]] = [[0]]
-        for best in bests:
-            prefix.append(_maxplus(prefix[-1], best))
-        remaining = z
-        target = prefix[-1][z]
+        prefix = [[identity]]
+        for j in kids:
+            prefix.append(_merge(prefix[-1], bests[j][x], combine))
+        remaining, target = z, prefix[-1][z]
         for idx in range(len(kids) - 1, -1, -1):
             j = kids[idx]
-            found = False
-            for xj, right in enumerate(bests[idx]):
-                if right is None or xj > remaining:
-                    continue
-                if remaining - xj >= len(prefix[idx]):
-                    continue
-                left = prefix[idx][remaining - xj]
-                if left is not None and left + right == target:
-                    row = tables[j][(xj, x)]
-                    best_z = min(
-                        zz for zz, vv in enumerate(row) if vv == right
-                    )
-                    stack.append((j, xj, x, best_z))
-                    remaining -= xj
-                    target = left
-                    found = True
+            lefts = prefix[idx]
+            for xj, right in enumerate(bests[j][x]):
+                s = remaining - xj
+                if 0 <= s < len(lefts) and combine(lefts[s], right) == target:
+                    stack.append((j, xj, x, tables[j][xj][x].index(right)))
+                    remaining, target = s, lefts[s]
                     break
-            if not found:
+            else:
                 raise AssertionError("inconsistent welfare tables")
 
-    entries = sum(
-        sum(1 for v in row if v is not None)
-        for t in tables
-        for row in t.values()
-    )
     return _report(
         started,
         profile=Profile(frozenset(invest)),
-        value=Fraction(total_value, scaled.scale),
-        table_entries=entries,
+        value=Fraction(total, scaled.scale),
+        table_entries=sum(len(row) for t in tables for rows in t for row in rows),
     )
 
 
-# ---------------------------------------------------------------------------
-# Egalitarian welfare (threshold scan over the candidate payoff values)
-# ---------------------------------------------------------------------------
+def solve_usw_ccforest(game: Game) -> SolveReport:
+    """Maximize the sum of payoffs (the organizer dictates every action)."""
+    return _best_welfare(game, _usw_rule, operator.add, 0)
 
 
 def solve_esw_ccforest(game: Game) -> SolveReport:
-    """Maximize the minimum payoff.
+    """Maximize the minimum payoff, in one (max, min) sweep.
 
-    Feasibility of "every payoff >= q" is monotone in q and the optimum is
-    always one of the finitely many payoff values g_v(k) or g_v(k) - c(v),
-    so a binary search over that candidate list with one feasibility DP per
-    probe is exact.
+    A childless clique merges from infinity, the identity for min; every
+    player belongs to some clique, so each root's value is a payoff, never
+    infinity.
     """
-    started = time.perf_counter()
     if game.player_count == 0:
         raise ValueError("egalitarian welfare is undefined for a zero-player game")
-    cc, rf, bail = _forest_or_report(game, started)
-    if bail is not None:
-        return bail
-    scaled = scale_game(game)
-
-    def probe(q: int):
-        """(tables, root choices) when "every payoff >= q" is feasible."""
-        tables = _feasible_tables(
-            game, cc, rf, lambda k: _esw_bounds(scaled, cc.cliques[k], q)
-        )
-        choices = {}
-        for root in rf.roots:
-            choice = _root_choice(tables, cc.cliques, root)
-            if choice is None:
-                return None
-            choices[root] = choice
-        return tables, choices
-
-    best_q, found = max_feasible_threshold(scaled.levels, probe)
-    assert found is not None, "the smallest candidate is always feasible"
-    tables, choices = found
-
-    def investors_for(k: int, x: int, total: int) -> list[int]:
-        members = cc.cliques[k]
-        eligible = [
-            v
-            for v in members
-            if scaled.ext[v][total] - scaled.cost[v] >= best_q
-        ]
-        return eligible[:x]
-
-    invest = _extract_feasible(cc, rf, tables, choices, investors_for)
-    return _report(
-        started,
-        profile=invest,
-        value=Fraction(best_q, scaled.scale),
-        table_entries=_table_entry_count(tables),
-    )
+    return _best_welfare(game, _esw_rule, lesser, math.inf)

@@ -273,6 +273,10 @@ class GameSpec:
                 raise ValueError("twin_tree needs multiplicities, each >= 1")
         elif self.n < 0:
             raise ValueError("n must be >= 0")
+        if not 0 <= self.p <= 1:  # also rejects NaN
+            raise ValueError(f"p must be in [0, 1], got {self.p}")
+        if self.width < 1:
+            raise ValueError(f"width must be >= 1, got {self.width}")
 
 
 def _random_tree_parents(t: int, rng: random.Random) -> list[int]:
@@ -308,7 +312,7 @@ def _spec_graph(spec: GameSpec, rng: random.Random) -> Graph:
         ]
         return Graph.from_edges(n, edges)
     if spec.family == "bounded_tw":
-        w = max(1, spec.width)
+        w = spec.width
         base = min(n, w + 1)
         edges = [(i, j) for i in range(base) for j in range(i + 1, base)]
         bags = [tuple(range(base))]

@@ -28,7 +28,7 @@ from .decomposition import (
     to_nice,
     validate_nice,
 )
-from .game import Game, Profile, ScaledGame, scale_game
+from .game import Game, Profile, ScaledGame, lesser, scale_game
 from .report import SolveReport, SolveStatus
 
 # A state key: (sorted tuple of investing bag vertices,
@@ -243,4 +243,4 @@ def solve_esw_treewidth(
     """
     if game.player_count == 0:
         raise ValueError("egalitarian welfare is undefined for a zero-player game")
-    return _best_welfare(game, decomposition, min, math.inf)
+    return _best_welfare(game, decomposition, lesser, math.inf)

@@ -13,6 +13,7 @@ from bnpg.ccforest import (
 )
 from bnpg.critical_clique import CriticalCliqueGraph, build_cc_graph, is_forest
 from bnpg.game import Game, Graph, Profile, esw, is_psne, scale_game, usw
+from bnpg.instance_io import GameSpec, gen_random_game
 from bnpg.oracle import enum_psne, max_esw, max_usw
 from bnpg.report import SolveStatus
 
@@ -121,6 +122,22 @@ def test_usw_extraction_prefers_cheaper_investors():
     assert report.profile == Profile.of(2)
 
 
+def test_esw_invests_in_the_member_with_the_largest_net_payoff():
+    # one clique, so the closed total is the investor count; the optimum
+    # has one investor.  By cost the pick is player 2, by index player 0,
+    # but player 1 has the largest g(1) - c and only it keeps everyone at 2.
+    game = Game.build(
+        complete_graph(3),
+        [(0, 3, 0, 0), (0, 5, 0, 0), (0, 2, 0, 0)],
+        [2, 2, 1],
+    )
+    report = solve_esw_ccforest(game)
+    assert report.value == 2 == max_esw(game)[1]
+    assert report.profile == Profile.of(1)
+    assert esw(game, Profile.of(2)) == 1  # the cheapest member
+    assert esw(game, Profile.of(0)) == 1  # the smallest index
+
+
 def test_not_applicable_on_cycles():
     game = best_shot_game(cycle_graph(5))
     for solver in (solve_psne_ccforest, solve_usw_ccforest, solve_esw_ccforest):
@@ -172,6 +189,7 @@ def _check_against_oracle(game):
     _, best_esw = max_esw(game)
     assert esw_report.value == best_esw
     assert esw(game, esw_report.profile) == best_esw
+    assert esw_report.table_entries == usw_report.table_entries  # one sweep
 
 
 def test_oracle_agreement_on_random_trees():
@@ -234,6 +252,37 @@ def test_coprime_denominators_on_twin_clusters():
         coprime_game(twin_cluster_graph(rng.randrange(1, 10), rng), rng)
         for _ in range(30)
     )
+
+
+def test_coprime_denominators_on_twin_trees():
+    """Generator twin trees: critical cliques of up to three members, each
+    member paying its own cost."""
+    rng = random.Random(113)
+    graphs = []
+    for seed in range(30):
+        blocks = tuple(rng.randint(1, 3) for _ in range(rng.randint(3, 4)))
+        spec = GameSpec("twin_tree", seed=seed, multiplicities=blocks)
+        graphs.append(gen_random_game(spec).graph)
+    assert max(len(m) for g in graphs for m in build_cc_graph(g).cliques) == 3
+    _check_coprime_corpus(coprime_game(g, rng) for g in graphs)
+
+
+def test_esw_runs_no_feasibility_pass(monkeypatch):
+    import bnpg.ccforest as ccforest
+
+    calls = []
+    original = ccforest._feasible_tables
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ccforest, "_feasible_tables", counted)
+    game = random_game(twin_cluster_graph(9, random.Random(114)), random.Random(115))
+    assert solve_esw_ccforest(game).value == max_esw(game)[1]
+    assert calls == []
+    solve_psne_ccforest(game)
+    assert calls == [1]
 
 
 @pytest.mark.parametrize("solve", [solve_psne_ccforest, solve_usw_ccforest, solve_esw_ccforest])

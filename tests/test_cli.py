@@ -222,6 +222,19 @@ def test_gen_twin_tree_multiplicities(capsys):
     assert parse_instance(out).player_count == 7
 
 
+@pytest.mark.parametrize(
+    "flags, fragment",
+    [(("--family", "gnp", "--p", "1.5"), "p must be in [0, 1]"),
+     (("--family", "gnp", "--p", "-0.5"), "p must be in [0, 1]"),
+     (("--family", "bounded_tw", "--width", "0"), "width must be >= 1")],
+)
+def test_gen_rejects_out_of_range_parameters(capsys, flags, fragment):
+    code, out, err = run(capsys, "gen", "--n", "5", *flags)
+    assert code == 1
+    assert out == ""
+    assert fragment in err
+
+
 def test_ccgraph_reports_forest_verdict(tmp_path, capsys):
     inst = write(tmp_path, "p3.bnpg", serialize_instance(best_shot_game(path_graph(3))))
     code, out, _ = run(capsys, "ccgraph", inst)

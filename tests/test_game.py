@@ -16,7 +16,6 @@ from bnpg.game import (
     esw,
     is_psne,
     is_stable,
-    max_feasible_threshold,
     payoff,
     payoff_levels,
     scale_game,
@@ -231,33 +230,6 @@ def test_profile_validation_rejects_out_of_range():
     game = best_shot_game(path_graph(2))
     with pytest.raises(IndexError):
         Profile.of(5).validate_for(game)
-
-
-# ---------------------------------------------------------------------------
-# Threshold search
-# ---------------------------------------------------------------------------
-
-
-@given(st.integers(1, 40), st.data())
-@settings(max_examples=300, deadline=None)
-def test_threshold_search_matches_a_linear_scan(length, data):
-    # a monotone predicate: candidates[0..last] feasible, the rest not
-    last = data.draw(st.integers(0, length - 1))
-    candidates = sorted(data.draw(st.sets(st.integers(-50, 50), min_size=length, max_size=length)))
-    probed = []
-
-    def probe(q):
-        probed.append(q)
-        return ("tables at", q) if candidates.index(q) <= last else None
-
-    best = max(q for i, q in enumerate(candidates) if i <= last)  # the linear scan
-    assert max_feasible_threshold(candidates, probe) == (best, ("tables at", best))
-    assert len(probed) == len(set(probed)), "a candidate was probed twice"
-    bound = math.ceil(math.log2(length))
-    if last == 0:  # only candidates[0] is feasible, and it is probed last
-        assert len(probed) <= bound + 1 and probed[-1] == candidates[0]
-    else:
-        assert len(probed) <= bound and candidates[0] not in probed
 
 
 # ---------------------------------------------------------------------------

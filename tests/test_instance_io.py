@@ -265,6 +265,25 @@ def test_spec_validation():
         GameSpec("path", n=-1)
 
 
+@pytest.mark.parametrize("p", [1.5, -0.5, float("nan"), float("inf")])
+def test_spec_rejects_probabilities_outside_the_unit_interval(p):
+    with pytest.raises(ValueError, match=r"p must be in \[0, 1\]"):
+        GameSpec("gnp", n=5, p=p)
+
+
+@pytest.mark.parametrize("width", [0, -3])
+def test_spec_rejects_widths_below_one(width):
+    with pytest.raises(ValueError, match="width must be >= 1"):
+        GameSpec("bounded_tw", n=5, width=width)
+
+
+def test_spec_accepts_the_boundary_values():
+    assert gen_random_game(GameSpec("gnp", n=5, p=0)).graph.edges == frozenset()
+    assert len(gen_random_game(GameSpec("gnp", n=5, p=1)).graph.edges) == 10
+    path = gen_random_game(GameSpec("bounded_tw", n=6, width=1, seed=2)).graph
+    assert len(path.edges) == 5  # width 1 grows a tree
+
+
 def test_generated_games_serialize():
     for family in ("path", "cycle", "clique", "tree", "caterpillar", "gnp"):
         spec = GameSpec(family, n=7, seed=11)
