@@ -8,9 +8,16 @@ final closed-neighborhood investor count is known and the objective can act
 on it: PSNE keeps only stable settlements, USW adds payoffs (max, +), and
 ESW takes their minimum (max, min), all in one sweep.
 
-Joins combine same-U states by adding their forgotten-neighbor counts; the
-two subtrees settle disjoint vertex sets, so counts and objectives never
-double.
+A state is packed into one int.  The vertex at bag position p owns the
+W-bit field starting at bit p*W, where W = max_degree.bit_length() + 1:
+the field's low bit says whether the vertex invests, and the bits above it
+hold its forgotten-investor count.  The state with an empty bag is 0.
+Introduce opens a zero field with a shift, forget reads and closes one, and
+a join adds the right key's count bits to the left key with one integer
+add.  The two subtrees of a join settle disjoint vertex sets, so counts and
+objectives never double, and a summed count stays at most the vertex's
+degree: it fits in its W - 1 count bits and never carries into the next
+field.
 """
 
 from __future__ import annotations
@@ -28,14 +35,8 @@ from .decomposition import (
     to_nice,
     validate_nice,
 )
-from .game import Game, Profile, ScaledGame, lesser, scale_game
+from .game import Game, Graph, Profile, ScaledGame, lesser, scale_game
 from .report import SolveReport, SolveStatus
-
-# A state key: (sorted tuple of investing bag vertices,
-#               forgotten investing neighbors of each bag vertex, in bag order)
-StateKey = tuple[tuple[int, ...], tuple[int, ...]]
-
-EMPTY_STATE: StateKey = ((), ())
 
 
 def prepare_decomposition(
@@ -61,6 +62,13 @@ def prepare_decomposition(
     return to_nice(decomposition, game.graph)
 
 
+def _field_width(graph: Graph) -> int:
+    """Bits per bag position: an invest bit, then a count up to the
+    largest degree."""
+    degree = max((graph.degree(v) for v in range(graph.player_count)), default=0)
+    return degree.bit_length() + 1
+
+
 def _sweep(
     game: Game,
     ntd: NiceTreeDecomposition,
@@ -73,12 +81,14 @@ def _sweep(
     A state's objective folds `combine` over its settled players, from
     `identity` at the leaves: `contribution[v][invests][k]` is what v adds
     when it settles with k closed-neighborhood investors, or None to drop
-    the state.  tables[i] keeps the best objective per StateKey, and
-    witnesses[i] the child keys it came from, one per child.  Child tables
-    are read in insertion order, which the decomposition fixes, so ties
-    break the same way on every run.
+    the state.  tables[i] keeps the best objective per packed state key,
+    and witnesses[i] the child keys it came from, one per child.  Child
+    tables are read in insertion order, which the decomposition fixes, so
+    ties break the same way on every run.
     """
-    nbr = [game.graph.neighbors(v) for v in range(game.graph.player_count)]
+    graph = game.graph
+    width = _field_width(graph)
+    field = (1 << width) - 1
     bags = ntd.bags
     tables: list[dict] = [None] * len(bags)
     witnesses: list[dict] = [None] * len(bags)
@@ -87,18 +97,17 @@ def _sweep(
         table: dict = {}
         witness: dict = {}
         if kind == "leaf":
-            table[EMPTY_STATE] = identity
-            witness[EMPTY_STATE] = ()
+            table[0] = identity
+            witness[0] = ()
         elif kind == "introduce":
-            u = ntd.distinguished[i]
-            at = bags[i].index(u)
+            shift = bags[i].index(ntd.distinguished[i]) * width
+            below = (1 << shift) - 1
+            invest = 1 << shift
             for key, val in tables[ntd.children[i][0]].items():
-                investors, counts = key
                 # the newcomer has no forgotten neighbors yet: its edges are
                 # covered by bags at or above this node
-                counts = counts[:at] + (0,) + counts[at:]
-                abstain_key = (investors, counts)
-                invest_key = (tuple(sorted(investors + (u,))), counts)
+                abstain_key = (key & below) | ((key >> shift) << (shift + width))
+                invest_key = abstain_key | invest
                 table[abstain_key] = val
                 witness[abstain_key] = (key,)
                 table[invest_key] = val
@@ -106,39 +115,41 @@ def _sweep(
         elif kind == "forget":
             child = ntd.children[i][0]
             v = ntd.distinguished[i]
-            v_nbrs = nbr[v]
-            at = bags[child].index(v)
-            bump = tuple(1 if x in v_nbrs else 0 for x in bags[i])
+            v_nbrs = graph.neighbors(v)
+            shift = bags[child].index(v) * width
+            below = (1 << shift) - 1
+            above = shift + width
+            # invest bits of v's bag neighbors in the child's layout, and one
+            # count for each of them in this node's layout
+            nbr_invest = sum(1 << (p * width) for p, x in enumerate(bags[child]) if x in v_nbrs)
+            bump = sum(2 << (p * width) for p, x in enumerate(bags[i]) if x in v_nbrs)
             rows = contribution[v]
             for key, val in tables[child].items():
-                investors, counts = key
-                invests = v in investors
-                k = counts[at] + sum(1 for x in investors if x in v_nbrs) + invests
+                own = (key >> shift) & field
+                invests = own & 1
+                k = (own >> 1) + (key & nbr_invest).bit_count() + invests
                 adds = rows[invests][k]
                 if adds is None:
                     continue
                 new_val = combine(val, adds)
-                counts = counts[:at] + counts[at + 1 :]
+                new_key = (key & below) | ((key >> above) << shift)
                 if invests:
-                    new_key = (
-                        tuple(x for x in investors if x != v),
-                        tuple(map(operator.add, counts, bump)),
-                    )
-                else:
-                    new_key = (investors, counts)
+                    new_key += bump
                 old = table.get(new_key)
                 if old is None or new_val > old:
                     table[new_key] = new_val
                     witness[new_key] = (key,)
         else:  # join
             left, right = ntd.children[i]
-            grouped: dict[tuple[int, ...], list] = {}
+            investing = sum(1 << (p * width) for p in range(len(bags[i])))
+            grouped: dict[int, list] = {}
             for key, val in tables[right].items():
-                grouped.setdefault(key[0], []).append((key, val))
+                grouped.setdefault(key & investing, []).append((key, key & ~investing, val))
             for key_l, val_l in tables[left].items():
-                investors, counts_l = key_l
-                for key_r, val_r in grouped.get(investors, ()):
-                    new_key = (investors, tuple(map(operator.add, counts_l, key_r[1])))
+                for key_r, counts_r, val_r in grouped.get(key_l & investing, ()):
+                    # both sides carry the same invest bits; the counts add
+                    # field by field without carries
+                    new_key = key_l + counts_r
                     new_val = combine(val_l, val_r)
                     old = table.get(new_key)
                     if old is None or new_val > old:
@@ -149,21 +160,27 @@ def _sweep(
     return tables, witnesses
 
 
-def _replay(ntd: NiceTreeDecomposition, witnesses: list[dict]) -> Profile:
-    """Walk the chosen root state back down, reading actions at forgets."""
+def _replay(game: Game, ntd: NiceTreeDecomposition, witnesses: list[dict]) -> Profile:
+    """Walk the chosen root state back down, reading at each forget the
+    invest bit of the forgotten vertex in the child's key."""
+    width = _field_width(game.graph)
     invest: set[int] = set()
-    stack: list[tuple[int, StateKey]] = [(ntd.root, EMPTY_STATE)]
+    stack: list[tuple[int, int]] = [(ntd.root, 0)]
     while stack:
         i, key = stack.pop()
         child_keys = witnesses[i][key]
-        if ntd.kinds[i] == "forget" and ntd.distinguished[i] in child_keys[0][0]:
-            invest.add(ntd.distinguished[i])
+        if ntd.kinds[i] == "forget":
+            v = ntd.distinguished[i]
+            child = ntd.children[i][0]
+            if child_keys[0] >> (ntd.bags[child].index(v) * width) & 1:
+                invest.add(v)
         stack.extend(zip(ntd.children[i], child_keys))
     return Profile(frozenset(invest))
 
 
 def _report(
     started: float,
+    game: Game,
     ntd: NiceTreeDecomposition,
     tables: list[dict],
     witnesses: "list[dict] | None",
@@ -174,7 +191,7 @@ def _report(
     return SolveReport(
         status=SolveStatus.NO_PSNE if witnesses is None else SolveStatus.SOLVED,
         algorithm="treewidth",
-        profile=None if witnesses is None else _replay(ntd, witnesses),
+        profile=None if witnesses is None else _replay(game, ntd, witnesses),
         value=value,
         elapsed=time.perf_counter() - started,
         table_entries=sum(len(t) for t in tables),
@@ -207,8 +224,8 @@ def solve_psne_treewidth(
     ntd = prepare_decomposition(game, decomposition)
     rows = _stability_rows(scale_game(game))
     tables, witnesses = _sweep(game, ntd, rows, operator.and_, True)
-    found = EMPTY_STATE in tables[ntd.root]
-    return _report(started, ntd, tables, witnesses if found else None)
+    found = 0 in tables[ntd.root]
+    return _report(started, game, ntd, tables, witnesses if found else None)
 
 
 def _best_welfare(game: Game, decomposition, combine: Callable, identity) -> SolveReport:
@@ -218,8 +235,8 @@ def _best_welfare(game: Game, decomposition, combine: Callable, identity) -> Sol
     scaled = scale_game(game)
     payoffs = [(g, tuple(x - c for x in g)) for g, c in zip(scaled.ext, scaled.cost)]
     tables, witnesses = _sweep(game, ntd, payoffs, combine, identity)
-    value = Fraction(tables[ntd.root][EMPTY_STATE], scaled.scale)
-    return _report(started, ntd, tables, witnesses, value)
+    value = Fraction(tables[ntd.root][0], scaled.scale)
+    return _report(started, game, ntd, tables, witnesses, value)
 
 
 def solve_usw_treewidth(

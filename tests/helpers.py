@@ -78,6 +78,22 @@ def random_game(graph: Graph, rng: random.Random, monotone: bool = False) -> Gam
     return Game.build(graph, ext, cost)
 
 
+def relabel_game(game: Game, rng: random.Random) -> Game:
+    """The same game with its players renamed by a random permutation."""
+    n = game.graph.player_count
+    new = list(range(n))
+    rng.shuffle(new)
+    old = [0] * n
+    for v, w in enumerate(new):
+        old[w] = v
+    graph = Graph.from_edges(n, [(new[u], new[v]) for u, v in game.graph.edges])
+    return Game(
+        graph,
+        tuple(game.externality[v] for v in old),
+        tuple(game.cost[v] for v in old),
+    )
+
+
 COPRIME_DENOMINATORS = (3, 5, 7, 11)
 
 

@@ -11,6 +11,7 @@ from bnpg.game import Game, Graph, is_psne, scale_game, usw, esw
 from bnpg.instance_io import GameSpec, gen_random_game
 from bnpg.oracle import enum_psne, max_usw, max_esw
 from bnpg.report import SolveStatus
+from bnpg.solver import solve
 from bnpg.treewidth import (
     prepare_decomposition,
     solve_psne_treewidth,
@@ -18,11 +19,20 @@ from bnpg.treewidth import (
     solve_esw_treewidth,
 )
 
-from helpers import coprime_game, cycle_graph, gnp_graph, path_graph, random_game, random_tree
+from helpers import (
+    coprime_game,
+    cycle_graph,
+    gnp_graph,
+    path_graph,
+    random_game,
+    random_tree,
+    relabel_game,
+    star_graph,
+)
 
 
-def check_against_oracle(game):
-    psne = solve_psne_treewidth(game)
+def check_against_oracle(game, decomposition=None):
+    psne = solve_psne_treewidth(game, decomposition)
     expected = enum_psne(game)
     if expected:
         assert psne.status is SolveStatus.SOLVED
@@ -31,12 +41,12 @@ def check_against_oracle(game):
         assert psne.status is SolveStatus.NO_PSNE
         assert psne.profile is None
 
-    uswr = solve_usw_treewidth(game)
+    uswr = solve_usw_treewidth(game, decomposition)
     _, best = max_usw(game)
     assert uswr.value == best
     assert usw(game, uswr.profile) == best
 
-    eswr = solve_esw_treewidth(game)
+    eswr = solve_esw_treewidth(game, decomposition)
     _, best = max_esw(game)
     assert eswr.value == best
     assert esw(game, eswr.profile) == best
@@ -254,3 +264,89 @@ def test_esw_when_join_subtrees_settle_no_one():
             assert isinstance(report.value, Fraction)
             assert report.value == max_esw(game)[1]
             assert esw(game, report.profile) == report.value
+
+
+def _hub_rooted_star(leaves):
+    """A star and a decomposition rooted at the hub's own bag, with one
+    (hub, leaf) bag per leaf: every leaf is forgotten below the joins that
+    merge those bags, so the hub's forgotten-investor count reaches its
+    degree, summed across joins, before the hub itself is forgotten."""
+    from bnpg.decomposition import TreeDecomposition
+
+    bags = ((0,),) + tuple((0, leaf) for leaf in range(1, leaves + 1))
+    graph = star_graph(leaves)
+    td = TreeDecomposition(bags, tuple((0, b) for b in range(1, len(bags))))
+    return graph, to_nice(td, graph, root_bag=0)
+
+
+def _full_count_game(graph):
+    """The hub pays off only when every player invests, and each leaf only
+    when the hub invests with it, so every optimum uses the hub's full
+    count."""
+    d = graph.degree(0)
+    hub = (Fraction(0),) * (d + 1) + (Fraction(2 * d + 2),)
+    leaf = (Fraction(0), Fraction(0), Fraction(2))
+    return Game.build(graph, [hub] + [leaf] * d, [Fraction(1)] * (d + 1))
+
+
+@pytest.mark.parametrize("hub_degree", [7, 8, 15, 16])
+def test_hub_counts_fill_their_field(hub_degree):
+    """A field holds an invest bit and max_degree.bit_length() count bits:
+    a hub of degree 2^m - 1 fills m count bits, one of degree 2^m needs
+    m + 1, and a field one bit short would carry into its neighbor."""
+    graph, ntd = _hub_rooted_star(hub_degree)
+    rng = random.Random(130 + hub_degree)
+    full_count = _full_count_game(graph)
+    for game in (full_count, random_game(graph, rng)):
+        check_against_oracle(game, ntd)
+    everyone = frozenset(range(hub_degree + 1))
+    assert solve_usw_treewidth(full_count, ntd).profile.investing == everyone
+
+
+def test_hub_of_a_40_leaf_star_matches_ccforest():
+    graph, ntd = _hub_rooted_star(40)
+    rng = random.Random(131)
+    for game in (_full_count_game(graph), random_game(graph, rng)):
+        for decomposition in (ntd, None):
+            assert (
+                solve_psne_treewidth(game, decomposition).status
+                is solve_psne_ccforest(game).status
+            )
+            assert solve_usw_treewidth(game, decomposition).value == solve_usw_ccforest(game).value
+            assert solve_esw_treewidth(game, decomposition).value == solve_esw_ccforest(game).value
+
+
+def test_state_counts_are_pinned():
+    """Table entries on one width-2 hub game: an encoding of the states
+    that merged or split any of them would move these counts."""
+    game = gen_random_game(GameSpec("bounded_tw", n=40, width=2, seed=7))
+    assert solve_psne_treewidth(game).table_entries == 1222
+    assert solve_usw_treewidth(game).table_entries == 17481
+    assert solve_esw_treewidth(game).table_entries == 17481
+
+
+def _answers(game, algo):
+    psne, best_usw, best_esw = (solve(game, q, algo) for q in ("psne", "usw", "esw"))
+    assert usw(game, best_usw.profile) == best_usw.value
+    assert esw(game, best_esw.profile) == best_esw.value
+    return psne.status, best_usw.value, best_esw.value
+
+
+def test_answers_do_not_depend_on_player_labels():
+    """Renaming players changes min-fill's tie-breaks, hence the
+    decomposition and the table sizes, but no answer."""
+    rng = random.Random(132)
+    games = [
+        gen_random_game(GameSpec("bounded_tw", n=9, width=2, seed=seed, g_mode=mode))
+        for seed in range(8)
+        for mode in ("monotone", "arbitrary")
+    ]
+    trees = [random_game(random_tree(rng.randrange(2, 12), rng), rng) for _ in range(12)]
+    cases = [(game, ("brute", "treewidth")) for game in games]
+    cases += [(tree, ("brute", "treewidth", "ccforest")) for tree in trees]
+    for game, algos in cases:
+        expected = _answers(game, "brute")
+        for _ in range(3):
+            relabeled = relabel_game(game, rng)
+            for algo in algos:
+                assert _answers(relabeled, algo) == expected
