@@ -3,10 +3,12 @@
 Closed twins share a closed neighborhood, so every member of a critical
 clique K sees the same investor total: (investors in K) + (investors in K's
 parent clique) + (investors across K's children).  Tables are indexed by that
-triple (x, y, z).  Equilibria merge children with reachable-sum bitsets;
-utilitarian and egalitarian welfare share one sweep whose children merge by
-"max over splits of combine", with combine the sum (USW) or the minimum
-(ESW).  Applies only when the critical clique graph is a forest.
+triple (x, y, z).  Equilibria merge children with reachable-sum bitsets
+and read each clique's admissible investor counts and investors off
+`game.stability_rows`, as the treewidth PSNE does; utilitarian and
+egalitarian welfare share one sweep whose children merge by "max over
+splits of combine", with combine the sum (USW) or the minimum (ESW).
+Applies only when the critical clique graph is a forest.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import operator
 import time
 from fractions import Fraction
 from itertools import repeat
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 from .critical_clique import (
     CriticalCliqueGraph,
@@ -24,58 +26,10 @@ from .critical_clique import (
     build_cc_graph,
     rooted_forest,
 )
-from .game import Game, Profile, ScaledGame, lesser, scale_game
+from .game import Game, Profile, ScaledGame, lesser, scale_game, stability_rows
 from .report import SolveReport, SolveStatus
 
 Bounds = "tuple[int, int] | None"  # admissible investor counts inside the clique
-
-
-class MemberClassification(NamedTuple):
-    """Split of a clique's members at a fixed closed-neighborhood total.
-
-    `must_not_invest`: investing would be unstable at this total;
-    `must_invest`: abstaining would be unstable; `free`: either action is
-    stable.  `out_of_range` marks totals no profile can realize.  A member in
-    both forced sets is a contradiction: no equilibrium realizes this total.
-    """
-
-    must_not_invest: frozenset[int]
-    must_invest: frozenset[int]
-    free: frozenset[int]
-    out_of_range: bool = False
-
-    @property
-    def contradiction(self) -> bool:
-        return bool(self.must_not_invest & self.must_invest)
-
-
-def classify_clique_members(
-    scaled: ScaledGame, members: Sequence[int], total: int
-) -> MemberClassification:
-    """Classify clique members by deviation stability at a given total.
-
-    `scaled` is `scale_game` of the game.  `total` counts investors in the
-    shared closed neighborhood.  total = 0 leaves no room for an investing
-    member and total = closed degree forces every member to invest, so those
-    boundaries pin the respective side instead of indexing outside the
-    externality table.
-    """
-    ms = tuple(sorted(members))
-    if not ms:
-        raise ValueError("empty clique")
-    top = len(scaled.ext[ms[0]]) - 1
-    if total < 0 or total > top:
-        all_ms = frozenset(ms)
-        return MemberClassification(all_ms, all_ms, frozenset(), out_of_range=True)
-    must_not: set[int] = set()
-    must: set[int] = set()
-    for v in ms:
-        if total == 0 or not scaled.stable(v, True, total):
-            must_not.add(v)
-        if total == top or not scaled.stable(v, False, total):
-            must.add(v)
-    free = frozenset(ms) - must_not - must
-    return MemberClassification(frozenset(must_not), frozenset(must), free)
 
 
 # ---------------------------------------------------------------------------
@@ -83,18 +37,31 @@ def classify_clique_members(
 # ---------------------------------------------------------------------------
 
 
-def _psne_bounds(scaled: ScaledGame, members: tuple[int, ...]) -> list[Bounds]:
-    """Admissible x-interval per total, or None when no selection works."""
-    top = len(scaled.ext[members[0]]) - 1
-    out: list[Bounds] = []
-    for total in range(top + 1):
-        cls = classify_clique_members(scaled, members, total)
-        if cls.contradiction:
-            out.append(None)
+def _psne_rule(rows: list, members: Sequence[int]):
+    """PSNE per clique, from `stability_rows`: at closed total t, a member
+    whose abstain row is None must invest and one whose invest row is None
+    must not.  bounds[t] is the (lo, hi) range of investor counts, or None
+    when some member can do neither; order[t] lists the members that must
+    invest, then the free ones, each by ascending index, so its first x
+    members are the investors."""
+    bounds: list[Bounds] = []
+    order: list = []
+    for t in range(len(rows[members[0]][0])):
+        must, free = [], []
+        for v in members:
+            abstain, invest = rows[v]
+            if abstain[t] is None:
+                if invest[t] is None:
+                    bounds.append(None)
+                    order.append(None)
+                    break
+                must.append(v)
+            elif invest[t] is not None:
+                free.append(v)
         else:
-            lo = len(cls.must_invest)
-            out.append((lo, lo + len(cls.free)))
-    return out
+            bounds.append((len(must), len(must) + len(free)))
+            order.append(must + free)
+    return bounds, order
 
 
 def _feasible_tables(
@@ -145,17 +112,15 @@ def _extract_feasible(
     rf: RootedForest,
     tables: list[dict[tuple[int, int], int]],
     choices: dict[int, tuple[int, int]],
-    scaled: ScaledGame,
+    orders: list,
 ) -> Profile:
-    """Walk chosen table entries top-down, assigning investors per clique:
-    the members that must invest, then the free ones by index."""
+    """Walk chosen table entries top-down; clique k invests the first x
+    members of `orders[k]` at its total."""
     invest: set[int] = set()
     stack = [(root, choices[root][0], 0, choices[root][1]) for root in rf.roots]
     while stack:
         k, x, y, z = stack.pop()
-        cls = classify_clique_members(scaled, cc.cliques[k], x + y + z)
-        chosen = sorted(cls.must_invest)
-        invest.update(chosen + sorted(cls.free)[: x - len(chosen)])
+        invest.update(orders[k][x + y + z][:x])
         kids = rf.children[k]
         if not kids:
             continue
@@ -215,9 +180,9 @@ def solve_psne_ccforest(game: Game) -> SolveReport:
     cc, rf, bail = _forest_or_report(game, started)
     if bail is not None:
         return bail
-    scaled = scale_game(game)
-    bounds = [_psne_bounds(scaled, members) for members in cc.cliques]
-    tables = _feasible_tables(cc, rf, bounds)
+    rows = stability_rows(scale_game(game))
+    rules = [_psne_rule(rows, members) for members in cc.cliques]
+    tables = _feasible_tables(cc, rf, [bounds for bounds, _ in rules])
     choices: dict[int, tuple[int, int]] = {}
     for root in rf.roots:
         # smallest feasible (x, z) with y = 0
@@ -236,7 +201,7 @@ def solve_psne_ccforest(game: Game) -> SolveReport:
                     f"{cc.cliques[root][0]}"
                 ),
             )
-    invest = _extract_feasible(cc, rf, tables, choices, scaled)
+    invest = _extract_feasible(cc, rf, tables, choices, [order for _, order in rules])
     return _report(started, profile=invest, table_entries=_table_entry_count(tables))
 
 

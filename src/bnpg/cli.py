@@ -160,18 +160,16 @@ def _verify_command(args) -> int:
             pairs.append((f"gain_{v}", gain))
         else:
             print(f"player {v}: payoff {pay}, deviation gain {gain}")
-    verdict = is_psne(game, profile)
-    pairs.append(("psne", "true" if verdict else "false"))
-    pairs.append(("usw", format_rational(usw(game, profile))))
+    verdict = "true" if is_psne(game, profile) else "false"
+    welfare = [("usw", format_rational(usw(game, profile)))]
     if game.graph.player_count:
-        pairs.append(("esw", format_rational(esw(game, profile))))
+        welfare.append(("esw", format_rational(esw(game, profile))))
     if machine:
-        _emit(pairs, machine)
+        _emit(pairs + [("psne", verdict)] + welfare, machine)
     else:
-        print(f"psne: {'true' if verdict else 'false'}")
-        print(f"usw = {format_rational(usw(game, profile))}")
-        if game.graph.player_count:
-            print(f"esw = {format_rational(esw(game, profile))}")
+        print(f"psne: {verdict}")
+        for key, value in welfare:
+            print(f"{key} = {value}")
     return EXIT_SOLVED
 
 

@@ -262,16 +262,14 @@ def esw(game: Game, profile: Profile) -> Fraction:
 class ScaledGame(NamedTuple):
     """A game's payoff data multiplied by `scale` into Python ints.
 
-    `ext[v][k]` is g_v(k)·scale, `cost[v]` is c(v)·scale, and `levels` is
-    `payoff_levels` times scale.  Multiplying by a positive constant keeps
-    every sum, minimum and comparison, so a solver can work on these ints
-    and report `Fraction(best, scale)`.
+    `ext[v][k]` is g_v(k)·scale and `cost[v]` is c(v)·scale.  Multiplying
+    by a positive constant keeps every sum, minimum and comparison, so a
+    solver can work on these ints and report `Fraction(best, scale)`.
     """
 
     scale: int
     ext: tuple[tuple[int, ...], ...]
     cost: tuple[int, ...]
-    levels: tuple[int, ...]
 
     def stable(self, v: int, invests: bool, count: int) -> bool:
         """`is_stable` on the scaled values."""
@@ -294,11 +292,28 @@ def scale_game(game: Game) -> ScaledGame:
         for table in game.externality
     )
     cost = tuple(c.numerator * (scale // c.denominator) for c in game.cost)
-    levels: set[int] = set()
-    for table, c in zip(ext, cost):
-        levels.update(table)
-        levels.update(x - c for x in table)
-    return ScaledGame(scale, ext, cost, tuple(sorted(levels)))
+    return ScaledGame(scale, ext, cost)
+
+
+def stability_rows(scaled: ScaledGame) -> list:
+    """Per player, (abstain row, invest row) over closed investor counts k:
+    True where the player is stable taking that action at k, else None.
+
+    None also marks the counts no profile realizes: an investor counts
+    itself (k = 1..deg+1) and an abstainer has at most deg investing
+    neighbors (k = 0..deg).  Both PSNE dynamic programs read these rows.
+    """
+
+    def row(v: int, invests: bool, counts: range) -> tuple:
+        return tuple(
+            True if k in counts and scaled.stable(v, invests, k) else None
+            for k in range(len(scaled.ext[v]))
+        )
+
+    return [
+        (row(v, False, range(len(g) - 1)), row(v, True, range(1, len(g))))
+        for v, g in enumerate(scaled.ext)
+    ]
 
 
 def payoff_levels(game: Game) -> list[Fraction]:
@@ -308,7 +323,11 @@ def payoff_levels(game: Game) -> list[Fraction]:
     the optimum of any min/threshold objective lies in this finite list.
     """
     scaled = scale_game(game)
-    return [Fraction(level, scaled.scale) for level in scaled.levels]
+    levels: set[int] = set()
+    for table, c in zip(scaled.ext, scaled.cost):
+        levels.update(table)
+        levels.update(x - c for x in table)
+    return [Fraction(level, scaled.scale) for level in sorted(levels)]
 
 
 def lesser(a, b):

@@ -5,8 +5,9 @@ currently investing, and f counts, for each bag vertex, its already-forgotten
 investing neighbors.  A vertex is *settled* when it is forgotten — at that
 moment every neighbor is either still in the bag or already forgotten, so its
 final closed-neighborhood investor count is known and the objective can act
-on it: PSNE keeps only stable settlements, USW adds payoffs (max, +), and
-ESW takes their minimum (max, min), all in one sweep.
+on it: PSNE keeps only stable settlements (`game.stability_rows`, the table
+ccforest's PSNE reads too), USW adds payoffs (max, +), and ESW takes their
+minimum (max, min), all in one sweep.
 
 A state is packed into one int.  The vertex at bag position p owns the
 W-bit field starting at bit p*W, where W = max_degree.bit_length() + 1:
@@ -35,7 +36,7 @@ from .decomposition import (
     to_nice,
     validate_nice,
 )
-from .game import Game, Graph, Profile, ScaledGame, lesser, scale_game
+from .game import Game, Graph, Profile, lesser, scale_game, stability_rows
 from .report import SolveReport, SolveStatus
 
 
@@ -199,22 +200,6 @@ def _report(
     )
 
 
-def _stability_rows(scaled: ScaledGame) -> list:
-    """PSNE contributions: True where settling is stable, else None (also
-    at counts no profile realizes: an investor counts itself, so 1..deg+1)."""
-
-    def row(v: int, invests: bool, counts: range) -> tuple:
-        return tuple(
-            True if k in counts and scaled.stable(v, invests, k) else None
-            for k in range(len(scaled.ext[v]))
-        )
-
-    return [
-        (row(v, False, range(len(g) - 1)), row(v, True, range(1, len(g))))
-        for v, g in enumerate(scaled.ext)
-    ]
-
-
 def solve_psne_treewidth(
     game: Game,
     decomposition: "TreeDecomposition | NiceTreeDecomposition | None" = None,
@@ -222,7 +207,7 @@ def solve_psne_treewidth(
     """Find a pure Nash equilibrium, or prove none exists."""
     started = time.perf_counter()
     ntd = prepare_decomposition(game, decomposition)
-    rows = _stability_rows(scale_game(game))
+    rows = stability_rows(scale_game(game))
     tables, witnesses = _sweep(game, ntd, rows, operator.and_, True)
     found = 0 in tables[ntd.root]
     return _report(started, game, ntd, tables, witnesses if found else None)

@@ -6,13 +6,13 @@ from fractions import Fraction
 import pytest
 
 from bnpg.ccforest import (
-    classify_clique_members,
+    _psne_rule,
     solve_esw_ccforest,
     solve_psne_ccforest,
     solve_usw_ccforest,
 )
 from bnpg.critical_clique import CriticalCliqueGraph, build_cc_graph, is_forest
-from bnpg.game import Game, Graph, Profile, esw, is_psne, scale_game, usw
+from bnpg.game import Game, Graph, Profile, esw, is_psne, scale_game, stability_rows, usw
 from bnpg.instance_io import GameSpec, gen_random_game
 from bnpg.oracle import enum_psne, max_esw, max_usw
 from bnpg.report import SolveStatus
@@ -31,37 +31,36 @@ from helpers import (
 
 
 # ---------------------------------------------------------------------------
-# member classification at a fixed investor total
+# the per-clique PSNE rule at each closed-neighborhood total
 # ---------------------------------------------------------------------------
 
 
+def _rule(game, members):
+    return _psne_rule(stability_rows(scale_game(game)), members)
+
+
 def test_zero_total_forbids_investing():
-    game = best_shot_game(complete_graph(3))
-    cls = classify_clique_members(scale_game(game), (0, 1, 2), 0)
-    assert cls.must_not_invest == frozenset({0, 1, 2})
+    # nobody wants in at total 0, and nobody may invest there
+    game = Game.build(complete_graph(3), [(0, 0, 0, 0)] * 3, [1] * 3)
+    bounds, order = _rule(game, (0, 1, 2))
+    assert bounds[0] == (0, 0)
+    assert order[0] == []
 
 
 def test_full_total_forces_investing():
     game = best_shot_game(complete_graph(3), cost=Fraction(0))
-    cls = classify_clique_members(scale_game(game), (0, 1, 2), 3)
-    assert cls.must_invest == frozenset({0, 1, 2})
-    assert not cls.contradiction
-
-
-def test_out_of_range_totals_are_flagged():
-    game = best_shot_game(complete_graph(3))
-    assert classify_clique_members(scale_game(game), (0, 1, 2), 4).out_of_range
-    assert classify_clique_members(scale_game(game), (0, 1, 2), -1).out_of_range
-    assert not classify_clique_members(scale_game(game), (0, 1, 2), 2).out_of_range
+    bounds, order = _rule(game, (0, 1, 2))
+    assert bounds[3] == (3, 3)
+    assert order[3] == [0, 1, 2]
 
 
 def test_free_players_may_do_either():
     # threshold externality, zero cost: once somebody invests, an investor
     # is happy to stay and an abstainer is happy to stay out
     game = best_shot_game(path_graph(2), cost=Fraction(0))
-    cls = classify_clique_members(scale_game(game), (0, 1), 1)
-    assert cls.free == frozenset({0, 1})
-    assert cls.must_invest == frozenset()
+    bounds, order = _rule(game, (0, 1))
+    assert bounds[1] == (0, 2)
+    assert order[1] == [0, 1]
 
 
 def test_contradiction_blocks_every_count():
@@ -69,14 +68,26 @@ def test_contradiction_blocks_every_count():
     # at the same total, so the total is unrealizable
     g = Graph.from_edges(1, [])
     game = Game.build(g, [(0, 2)], [3])
-    cls = classify_clique_members(scale_game(game), (0,), 1)
-    assert cls.contradiction
+    bounds, order = _rule(game, (0,))
+    assert bounds[1] is None and order[1] is None
+    assert bounds[0] == (0, 0)  # abstaining alone is stable: 0 >= 2-3
 
 
-def test_classification_rejects_empty_member_list():
-    game = best_shot_game(path_graph(2))
-    with pytest.raises(ValueError):
-        classify_clique_members(scale_game(game), (), 0)
+def test_witness_takes_must_invest_then_smallest_free():
+    # K4 whose first feasible total is 2: every member wants in at totals 0
+    # and 1; at 2, player 2 still must invest and players 0, 1, 3 are free
+    want_in = (0, 2, 4, 4, 4)
+    game = Game.build(
+        complete_graph(4), [want_in, want_in, (0, 1, 3, 5, 5), want_in], [1] * 4
+    )
+    bounds, order = _rule(game, (0, 1, 2, 3))
+    assert bounds[:3] == [None, (4, 4), (1, 4)]
+    assert order[2] == [2, 0, 1, 3]
+    report = solve_psne_ccforest(game)
+    assert report.profile == Profile.of(0, 2)
+    assert is_psne(game, report.profile)
+    # the two other one-free-investor choices are equilibria too
+    assert is_psne(game, Profile.of(1, 2)) and is_psne(game, Profile.of(2, 3))
 
 
 # ---------------------------------------------------------------------------

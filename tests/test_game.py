@@ -19,10 +19,18 @@ from bnpg.game import (
     payoff,
     payoff_levels,
     scale_game,
+    stability_rows,
     usw,
 )
 
-from helpers import best_shot_game, complete_graph, coprime_game, gnp_graph, path_graph
+from helpers import (
+    best_shot_game,
+    complete_graph,
+    coprime_game,
+    gnp_graph,
+    path_graph,
+    random_game,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -220,10 +228,34 @@ def test_scaling_is_exact_on_coprime_denominators():
                 game.externality[v]
             )
             assert Fraction(scaled.cost[v], scaled.scale) == game.cost[v]
-        reference = _fraction_levels(game)
-        assert [Fraction(x, scaled.scale) for x in scaled.levels] == reference
-        assert payoff_levels(game) == reference
+        assert payoff_levels(game) == _fraction_levels(game)
     assert max(scales) == 1155
+
+
+def _check_stability_rows(game):
+    rows = stability_rows(scale_game(game))
+    assert len(rows) == game.player_count
+    for v, (abstain, invest) in enumerate(rows):
+        top = game.graph.degree(v) + 1
+        assert len(abstain) == len(invest) == top + 1
+        assert invest[0] is None  # an investor counts itself
+        assert abstain[top] is None  # an abstainer has at most deg investors
+        for k in range(top):
+            assert abstain[k] == (True if is_stable(game, v, False, k) else None)
+        for k in range(1, top + 1):
+            assert invest[k] == (True if is_stable(game, v, True, k) else None)
+
+
+def test_stability_rows_match_is_stable_on_random_games():
+    rng = random.Random(120)
+    for _ in range(40):
+        _check_stability_rows(random_game(gnp_graph(rng.randrange(0, 7), 0.5, rng), rng))
+
+
+def test_stability_rows_match_is_stable_on_coprime_games():
+    rng = random.Random(121)
+    for _ in range(40):
+        _check_stability_rows(coprime_game(gnp_graph(rng.randrange(0, 7), 0.5, rng), rng))
 
 
 def test_profile_validation_rejects_out_of_range():
