@@ -3,11 +3,13 @@
 Closed twins share a closed neighborhood, so every member of a critical
 clique K sees the same investor total: (investors in K) + (investors in K's
 parent clique) + (investors across K's children).  Tables are indexed by that
-triple (x, y, z).  Equilibria merge children with reachable-sum bitsets
-and read each clique's admissible investor counts and investors off
-`game.stability_rows`, as the treewidth PSNE does; utilitarian and
-egalitarian welfare share one sweep whose children merge by "max over
-splits of combine", with combine the sum (USW) or the minimum (ESW).
+triple (x, y, z).  One bottom-up sweep and one top-down extraction walk
+answer all three questions, written once over a vector type in z whose
+children merge by "max over splits of combine".  Welfare vectors are lists,
+with combine the sum (USW) or the minimum (ESW).  Equilibrium vectors are
+int bitsets of 0/1 entries, so the merge is an OR over shifts and combine
+an AND; each clique's admissible investor counts and investors come from
+`game.stability_rows`, as in the treewidth PSNE.
 Applies only when the critical clique graph is a forest.
 """
 
@@ -17,197 +19,48 @@ import math
 import operator
 import time
 from fractions import Fraction
-from itertools import repeat
-from typing import Callable, Sequence
+from itertools import chain, repeat
+from typing import Callable, NamedTuple, Sequence
 
-from .critical_clique import (
-    CriticalCliqueGraph,
-    RootedForest,
-    build_cc_graph,
-    rooted_forest,
-)
+from .critical_clique import build_cc_graph, rooted_forest
 from .game import Game, Profile, ScaledGame, lesser, scale_game, stability_rows
 from .report import SolveReport, SolveStatus
 
-Bounds = "tuple[int, int] | None"  # admissible investor counts inside the clique
-
 
 # ---------------------------------------------------------------------------
-# Feasibility DP (equilibria)
+# Per-clique rules: value[x][t] is what clique K adds when x members invest
+# at closed total t, and the first x members of order[t] invest
 # ---------------------------------------------------------------------------
 
 
 def _psne_rule(rows: list, members: Sequence[int]):
     """PSNE per clique, from `stability_rows`: at closed total t, a member
     whose abstain row is None must invest and one whose invest row is None
-    must not.  bounds[t] is the (lo, hi) range of investor counts, or None
-    when some member can do neither; order[t] lists the members that must
-    invest, then the free ones, each by ascending index, so its first x
-    members are the investors."""
-    bounds: list[Bounds] = []
+    must not.  Bit t of value[x] is set when x investors leave every member
+    stable at t: no member can do neither, and x lies between the number
+    that must invest and that plus the free ones.  order[t] lists the
+    members that must invest, then the free ones, each by ascending index,
+    or is None when some member can do neither."""
+    value = [0] * (len(members) + 1)
     order: list = []
+    bit = 1
     for t in range(len(rows[members[0]][0])):
         must, free = [], []
         for v in members:
             abstain, invest = rows[v]
             if abstain[t] is None:
                 if invest[t] is None:
-                    bounds.append(None)
                     order.append(None)
                     break
                 must.append(v)
             elif invest[t] is not None:
                 free.append(v)
         else:
-            bounds.append((len(must), len(must) + len(free)))
+            for x in range(len(must), len(must) + len(free) + 1):
+                value[x] |= bit
             order.append(must + free)
-    return bounds, order
-
-
-def _feasible_tables(
-    cc: CriticalCliqueGraph, rf: RootedForest, bounds: list[list[Bounds]]
-) -> list[dict[tuple[int, int], int]]:
-    """Per clique: (x, y) -> bitset of achievable child totals z.
-
-    `bounds[k][total]` is clique k's admissible x-interval at that total.
-    Child cliques see y = x, so their feasible contributions are merged into
-    a reachable-sum bitset once per x.
-    """
-    cliques = cc.cliques
-    tables: list[dict[tuple[int, int], int]] = [{} for _ in cliques]
-    for k in rf.postorder:
-        members = cliques[k]
-        kids = rf.children[k]
-        parent = rf.parent[k]
-        ymax = len(cliques[parent]) if parent is not None else 0
-        zmax = sum(len(cliques[j]) for j in kids)
-        admissible = bounds[k]
-        table = tables[k]
-        for x in range(len(members) + 1):
-            reach = 1
-            for j in kids:
-                shifted = 0
-                for xj in range(len(cliques[j]) + 1):
-                    if tables[j].get((xj, x)):
-                        shifted |= reach << xj
-                reach = shifted
-                if not reach:
-                    break
-            if not reach:
-                continue
-            for y in range(ymax + 1):
-                zbits = 0
-                for z in range(zmax + 1):
-                    if (reach >> z) & 1:
-                        b = admissible[x + y + z]
-                        if b is not None and b[0] <= x <= b[1]:
-                            zbits |= 1 << z
-                if zbits:
-                    table[(x, y)] = zbits
-    return tables
-
-
-def _extract_feasible(
-    cc: CriticalCliqueGraph,
-    rf: RootedForest,
-    tables: list[dict[tuple[int, int], int]],
-    choices: dict[int, tuple[int, int]],
-    orders: list,
-) -> Profile:
-    """Walk chosen table entries top-down; clique k invests the first x
-    members of `orders[k]` at its total."""
-    invest: set[int] = set()
-    stack = [(root, choices[root][0], 0, choices[root][1]) for root in rf.roots]
-    while stack:
-        k, x, y, z = stack.pop()
-        invest.update(orders[k][x + y + z][:x])
-        kids = rf.children[k]
-        if not kids:
-            continue
-        options = [
-            [
-                xj
-                for xj in range(len(cc.cliques[j]) + 1)
-                if tables[j].get((xj, x))
-            ]
-            for j in kids
-        ]
-        prefix = [1]
-        for opts in options:
-            shifted = 0
-            for xj in opts:
-                shifted |= prefix[-1] << xj
-            prefix.append(shifted)
-        remaining = z
-        for idx in range(len(kids) - 1, -1, -1):
-            j = kids[idx]
-            for xj in options[idx]:  # ascending: smallest contribution first
-                if remaining >= xj and (prefix[idx] >> (remaining - xj)) & 1:
-                    zbits = tables[j][(xj, x)]
-                    stack.append((j, xj, x, (zbits & -zbits).bit_length() - 1))
-                    remaining -= xj
-                    break
-            else:
-                raise AssertionError("inconsistent feasibility tables")
-    return Profile(frozenset(invest))
-
-
-def _table_entry_count(tables: list[dict[tuple[int, int], int]]) -> int:
-    return sum(bits.bit_count() for t in tables for bits in t.values())
-
-
-def _report(
-    started: float, status: SolveStatus = SolveStatus.SOLVED, **fields
-) -> SolveReport:
-    """A ccforest report, timed from `started`."""
-    elapsed = time.perf_counter() - started
-    return SolveReport(status, "ccforest", elapsed=elapsed, **fields)
-
-
-def _forest_or_report(game: Game, started: float):
-    """(cc, rooted forest, None), or (cc, None, a NOT_APPLICABLE report)
-    when the critical clique graph is not a forest."""
-    cc = build_cc_graph(game.graph)
-    try:
-        return cc, rooted_forest(cc), None
-    except ValueError as exc:
-        return cc, None, _report(started, SolveStatus.NOT_APPLICABLE, detail=str(exc))
-
-
-def solve_psne_ccforest(game: Game) -> SolveReport:
-    """Find a pure Nash equilibrium, or prove none exists."""
-    started = time.perf_counter()
-    cc, rf, bail = _forest_or_report(game, started)
-    if bail is not None:
-        return bail
-    rows = stability_rows(scale_game(game))
-    rules = [_psne_rule(rows, members) for members in cc.cliques]
-    tables = _feasible_tables(cc, rf, [bounds for bounds, _ in rules])
-    choices: dict[int, tuple[int, int]] = {}
-    for root in rf.roots:
-        # smallest feasible (x, z) with y = 0
-        for x in range(len(cc.cliques[root]) + 1):
-            zbits = tables[root].get((x, 0), 0)
-            if zbits:
-                choices[root] = (x, (zbits & -zbits).bit_length() - 1)
-                break
-        else:
-            return _report(
-                started,
-                SolveStatus.NO_PSNE,
-                table_entries=_table_entry_count(tables),
-                detail=(
-                    "no equilibrium in the component containing player "
-                    f"{cc.cliques[root][0]}"
-                ),
-            )
-    invest = _extract_feasible(cc, rf, tables, choices, [order for _, order in rules])
-    return _report(started, profile=invest, table_entries=_table_entry_count(tables))
-
-
-# ---------------------------------------------------------------------------
-# Welfare DP: (max, +) for USW, (max, min) for ESW
-# ---------------------------------------------------------------------------
+        bit <<= 1
+    return value, order
 
 
 def _usw_rule(scaled: ScaledGame, members: Sequence[int]):
@@ -251,64 +104,157 @@ def _esw_rule(scaled: ScaledGame, members: Sequence[int]):
     return value, orders
 
 
-def _merge(acc: list, best: list, combine: Callable) -> list:
-    """out[s] = max over a + b = s of combine(acc[a], best[b])."""
-    out = list(map(combine, acc, repeat(best[0])))
-    last = acc[-1]
-    for b in range(1, len(best)):
-        right = best[b]
-        out.append(combine(last, right))
-        for s, left in enumerate(acc[:-1], b):
-            candidate = combine(left, right)
-            if candidate > out[s]:
-                out[s] = candidate
+# ---------------------------------------------------------------------------
+# Vector types: one entry per z in a table row, per x in a best vector
+# ---------------------------------------------------------------------------
+
+
+class _Vectors(NamedTuple):
+    combine: Callable  # two entries -> one
+    identity: object  # of combine
+    start: object  # the vector [identity]
+    merge: Callable  # (acc, best) -> out[s] = max over a + b = s of combine(acc[a], best[b])
+    rows: Callable  # (vx, x, merged, ys) -> per y, combine(vx[x + y + z], merged[z]) over z
+    bests: Callable  # (table, ys) -> per y, over x, the max over z of table[x][y]
+    top: Callable  # vector -> its max
+    find: Callable  # (vector, entry) -> the first index holding that entry
+    items: Callable  # vector -> (index, entry) for the entries a split may use, ascending
+    at: Callable  # (vector, index) -> entry, None at a negative index or past the end
+    count: Callable  # table row -> its number of entries
+
+
+def _lists(combine: Callable, identity) -> _Vectors:
+    """Welfare vectors: a list holds every entry, each one realized."""
+
+    def merge(acc: list, best: list) -> list:
+        out = list(map(combine, acc, repeat(best[0])))
+        last = acc[-1]
+        for b in range(1, len(best)):
+            right = best[b]
+            out.append(combine(last, right))
+            for s, left in enumerate(acc[:-1], b):
+                candidate = combine(left, right)
+                if candidate > out[s]:
+                    out[s] = candidate
+        return out
+
+    def rows(vx: list, x: int, merged: list, ys: range) -> list:
+        width = len(merged)
+        return [list(map(combine, vx[x + y : x + y + width], merged)) for y in ys]
+
+    return _Vectors(
+        combine=combine, identity=identity, start=[identity], merge=merge, rows=rows,
+        bests=lambda table, ys: [[max(by_y[y]) for by_y in table] for y in ys],
+        top=max, find=list.index, items=enumerate,
+        at=lambda vector, i: vector[i] if 0 <= i < len(vector) else None,
+        count=len,
+    )
+
+
+def _or_shifts(acc: int, best: int) -> int:
+    out = 0
+    while best:
+        if best & 1:
+            out |= acc
+        acc <<= 1
+        best >>= 1
     return out
 
 
-def _best_welfare(game: Game, clique_rule: Callable, combine: Callable, identity):
-    """One bottom-up sweep; each root's table holds its component's optimum.
+def _bit_rows(vx: int, x: int, merged: int, ys: range) -> list:
+    vx >>= x
+    return [merged & vx >> y for y in ys]
 
-    `clique_rule(scaled, members)` gives `value[x][t]`, what clique K adds
-    when x members invest at closed total t, and `order[t]`, whose first x
-    members are the investors that get it.  `tables[k][x][y][z]` folds
-    `combine` over K's subtree, and `bests[k][y][x]` is the max over z.
-    Every (x, y, z) is realized by some profile, so every entry is a value.
+
+def _bit_bests(table: list, ys: range) -> list:
+    bests = [0] * len(ys)
+    bit = 1  # 1 << x
+    for by_y in table:
+        for y in ys:
+            if by_y[y]:
+                bests[y] |= bit
+        bit <<= 1
+    return bests
+
+
+# Feasibility vectors: bit i is entry i, 0 or 1, so a vector's max is whether
+# any bit is set, "max over splits" is an OR over shifts, and combine is AND.
+# An empty bitset is a vector no stable profile realizes; `find` is only
+# asked for entry 1.
+_BITSETS = _Vectors(
+    combine=operator.and_, identity=1, start=1,
+    merge=_or_shifts, rows=_bit_rows, bests=_bit_bests,
+    top=bool,
+    find=lambda bits, _: (bits & -bits).bit_length() - 1,
+    items=lambda bits: [(i, 1) for i in range(bits.bit_length()) if bits >> i & 1],
+    at=lambda bits, i: bits >> i & 1 if i >= 0 else None,
+    count=int.bit_count,
+)
+_SUMS = _lists(operator.add, 0)
+_MINIMA = _lists(lesser, math.inf)
+
+
+def _report(
+    started: float, status: SolveStatus = SolveStatus.SOLVED, **fields
+) -> SolveReport:
+    """A ccforest report, timed from `started`."""
+    elapsed = time.perf_counter() - started
+    return SolveReport(status, "ccforest", elapsed=elapsed, **fields)
+
+
+def _solve(
+    game: Game,
+    vectors: _Vectors,
+    clique_rule: Callable,
+    tabulate: Callable = lambda scaled: scaled,
+) -> SolveReport:
+    """One bottom-up sweep, then one walk down from each root's best entry.
+
+    `clique_rule(tabulate(scaled), members)` gives a clique's `value` and
+    `order` (see the rules above).  `tables[k][x][y]` is the vector over z
+    that folds `combine` over K's subtree, and `bests[k][y]` the vector over
+    x of its maxima.  A root whose best vector is an empty bitset has no
+    equilibrium; a welfare vector is never empty.
     """
     started = time.perf_counter()
-    cc, rf, bail = _forest_or_report(game, started)
-    if bail is not None:
-        return bail
+    cc = build_cc_graph(game.graph)
+    try:
+        rf = rooted_forest(cc)
+    except ValueError as exc:
+        return _report(started, SolveStatus.NOT_APPLICABLE, detail=str(exc))
     cliques = cc.cliques
     scaled = scale_game(game)
+    per_player = tabulate(scaled)
+    combine, identity, start, merge, rows, bests_of, top, find, items, at, count = vectors
     orders: list = [None] * len(cliques)
     tables: list = [None] * len(cliques)
     bests: list = [None] * len(cliques)
     for k in rf.postorder:
         kids = rf.children[k]
         parent = rf.parent[k]
-        ymax = len(cliques[parent]) if parent is not None else 0
-        value, orders[k] = clique_rule(scaled, cliques[k])
+        ys = range(len(cliques[parent]) + 1 if parent is not None else 1)
+        value, orders[k] = clique_rule(per_player, cliques[k])
         table = []
         for x, vx in enumerate(value):
-            merged = [identity]
+            merged = start
             for j in kids:
-                merged = _merge(merged, bests[j][x], combine)
-            width = len(merged)
-            rows = [
-                list(map(combine, vx[x + y : x + y + width], merged))
-                for y in range(ymax + 1)
-            ]
-            table.append(rows)
+                merged = merge(merged, bests[j][x])
+                if not merged:  # an empty bitset stays empty
+                    break
+            table.append(rows(vx, x, merged, ys))
         tables[k] = table
-        bests[k] = [[max(rows[y]) for rows in table] for y in range(ymax + 1)]
+        bests[k] = bests_of(table, ys)
+    entries = sum(map(count, chain.from_iterable(chain.from_iterable(tables))))
 
     total = identity
     stack = []
     for root in rf.roots:
-        best = bests[root][0]
-        val = max(best)
-        x = best.index(val)  # the smallest x, then the smallest z
-        stack.append((root, x, 0, tables[root][x][0].index(val)))
+        if not bests[root][0]:
+            detail = f"no equilibrium in the component containing player {cliques[root][0]}"
+            return _report(started, SolveStatus.NO_PSNE, table_entries=entries, detail=detail)
+        val = top(bests[root][0])
+        x = find(bests[root][0], val)  # the smallest x, then the smallest z
+        stack.append((root, x, 0, find(tables[root][x][0], val)))
         total = combine(total, val)
 
     invest: set[int] = set()
@@ -316,33 +262,38 @@ def _best_welfare(game: Game, clique_rule: Callable, combine: Callable, identity
         k, x, y, z = stack.pop()
         invest.update(orders[k][x + y + z][:x])
         kids = rf.children[k]
-        prefix = [[identity]]
+        prefix = [start]
         for j in kids:
-            prefix.append(_merge(prefix[-1], bests[j][x], combine))
-        remaining, target = z, prefix[-1][z]
-        for idx in range(len(kids) - 1, -1, -1):
+            prefix.append(merge(prefix[-1], bests[j][x]))
+        remaining, target = z, at(prefix[-1], z)
+        for idx in range(len(kids) - 1, -1, -1):  # last child first
             j = kids[idx]
             lefts = prefix[idx]
-            for xj, right in enumerate(bests[j][x]):
-                s = remaining - xj
-                if 0 <= s < len(lefts) and combine(lefts[s], right) == target:
-                    stack.append((j, xj, x, tables[j][xj][x].index(right)))
-                    remaining, target = s, lefts[s]
+            for xj, right in items(bests[j][x]):  # smallest xj first
+                left = at(lefts, remaining - xj)
+                if left is not None and combine(left, right) == target:
+                    stack.append((j, xj, x, find(tables[j][xj][x], right)))
+                    remaining, target = remaining - xj, left
                     break
             else:
-                raise AssertionError("inconsistent welfare tables")
+                raise AssertionError("inconsistent ccforest tables")
 
     return _report(
         started,
         profile=Profile(frozenset(invest)),
-        value=Fraction(total, scaled.scale),
-        table_entries=sum(len(row) for t in tables for rows in t for row in rows),
+        value=None if vectors is _BITSETS else Fraction(total, scaled.scale),
+        table_entries=entries,
     )
+
+
+def solve_psne_ccforest(game: Game) -> SolveReport:
+    """Find a pure Nash equilibrium, or prove none exists."""
+    return _solve(game, _BITSETS, _psne_rule, stability_rows)
 
 
 def solve_usw_ccforest(game: Game) -> SolveReport:
     """Maximize the sum of payoffs (the organizer dictates every action)."""
-    return _best_welfare(game, _usw_rule, operator.add, 0)
+    return _solve(game, _SUMS, _usw_rule)
 
 
 def solve_esw_ccforest(game: Game) -> SolveReport:
@@ -354,4 +305,4 @@ def solve_esw_ccforest(game: Game) -> SolveReport:
     """
     if game.player_count == 0:
         raise ValueError("egalitarian welfare is undefined for a zero-player game")
-    return _best_welfare(game, _esw_rule, lesser, math.inf)
+    return _solve(game, _MINIMA, _esw_rule)

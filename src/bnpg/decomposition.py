@@ -247,23 +247,11 @@ class NiceTreeDecomposition:
 
 
 def validate_nice(ntd: NiceTreeDecomposition, graph: Graph) -> list[Violation]:
-    """Coverage axioms plus: every graph vertex is forgotten exactly once."""
-    violations = validate_decomposition(ntd.as_decomposition(), graph)
-    forgotten: dict[int, int] = {}
-    for i, kind in enumerate(ntd.kinds):
-        if kind == "forget":
-            v = ntd.distinguished[i]
-            forgotten[v] = forgotten.get(v, 0) + 1
-    for v in range(graph.player_count):
-        times = forgotten.get(v, 0)
-        if times != 1:
-            violations.append(
-                Violation(
-                    "connectivity",
-                    f"vertex {v} is forgotten {times} times (expected exactly once)",
-                )
-            )
-    return violations
+    """The coverage axioms, which make every graph vertex forgotten exactly
+    once: a vertex lies in some bag, its bags form one subtree, and the root
+    bag is empty, so that subtree's topmost node is the only child of a
+    forget of the vertex."""
+    return validate_decomposition(ntd.as_decomposition(), graph)
 
 
 class _NiceBuilder:

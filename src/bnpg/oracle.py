@@ -28,12 +28,8 @@ class OracleLimits:
     time_budget: float | None = None  # seconds, checked coarsely
 
 
-def _guard(game_or_graph, limits: OracleLimits) -> int:
-    n = (
-        game_or_graph.player_count
-        if isinstance(game_or_graph, (Game, Graph))
-        else int(game_or_graph)
-    )
+def _guard(n: int, limits: OracleLimits) -> int:
+    """`n`, the player count, once it is within `limits.max_players`."""
     if n > limits.max_players:
         raise LimitExceeded(
             f"{n} players exceeds the enumeration limit of {limits.max_players}"
@@ -67,7 +63,7 @@ def _to_profile(mask: int, n: int) -> Profile:
 
 def _psne_profiles(game: Game, limits: OracleLimits) -> Iterator[Profile]:
     """Every pure Nash equilibrium, lazily, in ascending bitmask order."""
-    n = _guard(game, limits)
+    n = _guard(game.player_count, limits)
     closed = _closed_masks(game.graph)
     scaled = scale_game(game)
     # Stability depends only on (invests, closed investor count): tabulate it.
@@ -107,7 +103,7 @@ def max_usw(
     game: Game, limits: OracleLimits = OracleLimits()
 ) -> tuple[Profile, Fraction]:
     """A profile maximizing utilitarian welfare (smallest bitmask on ties)."""
-    n = _guard(game, limits)
+    n = _guard(game.player_count, limits)
     closed = _closed_masks(game.graph)
     scaled = scale_game(game)
     players = list(zip(range(n), closed, scaled.ext, scaled.cost))
@@ -130,7 +126,7 @@ def max_esw(
     game: Game, limits: OracleLimits = OracleLimits()
 ) -> tuple[Profile, Fraction]:
     """A profile maximizing the minimum payoff (smallest bitmask on ties)."""
-    n = _guard(game, limits)
+    n = _guard(game.player_count, limits)
     if n == 0:
         raise ValueError("egalitarian welfare is undefined for a zero-player game")
     closed = _closed_masks(game.graph)
@@ -157,7 +153,7 @@ def find_3regular_induced(
     graph: Graph, limits: OracleLimits = OracleLimits()
 ) -> frozenset[int] | None:
     """Smallest-bitmask nonempty vertex set inducing a 3-regular subgraph."""
-    n = _guard(graph, limits)
+    n = _guard(graph.player_count, limits)
     masks = _closed_masks(graph)
     deadline = _deadline(limits)
     for mask in range(1, 1 << n):

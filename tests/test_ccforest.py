@@ -39,18 +39,23 @@ def _rule(game, members):
     return _psne_rule(stability_rows(scale_game(game)), members)
 
 
+def _counts(value, t):
+    """The investor counts whose bitset has bit t set."""
+    return [x for x, bits in enumerate(value) if bits >> t & 1]
+
+
 def test_zero_total_forbids_investing():
     # nobody wants in at total 0, and nobody may invest there
     game = Game.build(complete_graph(3), [(0, 0, 0, 0)] * 3, [1] * 3)
-    bounds, order = _rule(game, (0, 1, 2))
-    assert bounds[0] == (0, 0)
+    value, order = _rule(game, (0, 1, 2))
+    assert _counts(value, 0) == [0]
     assert order[0] == []
 
 
 def test_full_total_forces_investing():
     game = best_shot_game(complete_graph(3), cost=Fraction(0))
-    bounds, order = _rule(game, (0, 1, 2))
-    assert bounds[3] == (3, 3)
+    value, order = _rule(game, (0, 1, 2))
+    assert _counts(value, 3) == [3]
     assert order[3] == [0, 1, 2]
 
 
@@ -58,8 +63,8 @@ def test_free_players_may_do_either():
     # threshold externality, zero cost: once somebody invests, an investor
     # is happy to stay and an abstainer is happy to stay out
     game = best_shot_game(path_graph(2), cost=Fraction(0))
-    bounds, order = _rule(game, (0, 1))
-    assert bounds[1] == (0, 2)
+    value, order = _rule(game, (0, 1))
+    assert _counts(value, 1) == [0, 1, 2]
     assert order[1] == [0, 1]
 
 
@@ -68,9 +73,9 @@ def test_contradiction_blocks_every_count():
     # at the same total, so the total is unrealizable
     g = Graph.from_edges(1, [])
     game = Game.build(g, [(0, 2)], [3])
-    bounds, order = _rule(game, (0,))
-    assert bounds[1] is None and order[1] is None
-    assert bounds[0] == (0, 0)  # abstaining alone is stable: 0 >= 2-3
+    value, order = _rule(game, (0,))
+    assert _counts(value, 1) == [] and order[1] is None
+    assert _counts(value, 0) == [0]  # abstaining alone is stable: 0 >= 2-3
 
 
 def test_witness_takes_must_invest_then_smallest_free():
@@ -80,8 +85,8 @@ def test_witness_takes_must_invest_then_smallest_free():
     game = Game.build(
         complete_graph(4), [want_in, want_in, (0, 1, 3, 5, 5), want_in], [1] * 4
     )
-    bounds, order = _rule(game, (0, 1, 2, 3))
-    assert bounds[:3] == [None, (4, 4), (1, 4)]
+    value, order = _rule(game, (0, 1, 2, 3))
+    assert [_counts(value, t) for t in range(3)] == [[], [4], [1, 2, 3, 4]]
     assert order[2] == [2, 0, 1, 3]
     report = solve_psne_ccforest(game)
     assert report.profile == Profile.of(0, 2)
@@ -278,21 +283,24 @@ def test_coprime_denominators_on_twin_trees():
     _check_coprime_corpus(coprime_game(g, rng) for g in graphs)
 
 
-def test_esw_runs_no_feasibility_pass(monkeypatch):
+@pytest.mark.parametrize(
+    "solve",
+    [solve_psne_ccforest, solve_usw_ccforest, solve_esw_ccforest],
+    ids=["psne", "usw", "esw"],
+)
+def test_each_solve_makes_one_sweep(solve, monkeypatch):
     import bnpg.ccforest as ccforest
 
     calls = []
-    original = ccforest._feasible_tables
+    original = ccforest._solve
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(ccforest, "_feasible_tables", counted)
+    monkeypatch.setattr(ccforest, "_solve", counted)
     game = random_game(twin_cluster_graph(9, random.Random(114)), random.Random(115))
-    assert solve_esw_ccforest(game).value == max_esw(game)[1]
-    assert calls == []
-    solve_psne_ccforest(game)
+    assert solve(game).status is not SolveStatus.NOT_APPLICABLE
     assert calls == [1]
 
 
@@ -313,3 +321,39 @@ def test_clique_graph_is_built_once_per_solve(solve, monkeypatch):
     cyclic = random_game(cycle_graph(5), rng)
     assert solve(cyclic).status is SolveStatus.NOT_APPLICABLE
     assert len(calls) == 2
+
+
+def test_answers_and_entry_counts_are_pinned():
+    """Answers, witnesses and table entries on two generator forests: a
+    change to a tie-break or to what a table holds would move them."""
+    twins = gen_random_game(GameSpec("twin_tree", seed=3, multiplicities=(2, 1, 3, 1, 2, 1, 1, 2)))
+    psne = solve_psne_ccforest(twins)
+    assert (psne.profile, psne.table_entries) == (Profile.of(0, 3, 4, 6, 12), 22)
+    best_usw = solve_usw_ccforest(twins)
+    assert best_usw.value == Fraction(251, 6)
+    assert best_usw.profile == Profile.of(0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 12)
+    assert best_usw.table_entries == 99
+    best_esw = solve_esw_ccforest(twins)
+    assert best_esw.value == 1
+    assert (best_esw.profile, best_esw.table_entries) == (Profile.of(0, 1, 7, 8, 12), 99)
+
+    spec = GameSpec("caterpillar", n=40, seed=5, g_mode="arbitrary", cost_mode="unit")
+    caterpillar = gen_random_game(spec)
+    psne = solve_psne_ccforest(caterpillar)
+    assert psne.status is SolveStatus.NO_PSNE and psne.table_entries == 66
+    assert psne.detail == "no equilibrium in the component containing player 0"
+    assert solve_usw_ccforest(caterpillar).table_entries == 308
+    assert solve_esw_ccforest(caterpillar).table_entries == 308
+
+
+def test_walk_takes_the_smallest_child_count_first():
+    """The walk tries each child's investor counts in ascending order; on
+    these games, trying the largest count first picks other witnesses."""
+    caterpillar = gen_random_game(GameSpec("caterpillar", n=12, seed=10))
+    assert solve_psne_ccforest(caterpillar).profile == Profile.of(4, 6, 7, 9)
+    best_esw = solve_esw_ccforest(caterpillar)
+    assert (best_esw.value, best_esw.profile) == (Fraction(1, 4), Profile.of(0, 1, 4, 6, 7))
+    tree = gen_random_game(GameSpec("tree", n=12, seed=9))
+    best_usw = solve_usw_ccforest(tree)
+    assert best_usw.value == Fraction(299, 12)
+    assert best_usw.profile == Profile.of(0, 1, 3, 4, 6, 7, 9, 11)

@@ -7,6 +7,7 @@ import pytest
 from bnpg.decomposition import (
     NiceTreeDecomposition,
     TreeDecomposition,
+    Violation,
     heuristic_decomposition,
     read_pace,
     to_nice,
@@ -14,8 +15,9 @@ from bnpg.decomposition import (
     validate_nice,
     write_pace,
 )
-from bnpg.game import Graph
+from bnpg.game import Game, Graph
 from bnpg.instance_io import ParseError
+from bnpg.treewidth import prepare_decomposition
 
 from helpers import (
     complete_graph,
@@ -212,6 +214,20 @@ def test_validate_nice_counts_forgets():
     g3 = Graph.from_edges(3, [(0, 1)])
     violations = validate_nice(ntd, g3)
     assert any("vertex 2" in v.detail for v in violations)
+
+
+def test_vertex_forgotten_under_both_join_children_is_disconnected():
+    # vertex 0 is introduced and forgotten under each child of the root join
+    g = Graph.from_edges(1, [])
+    ntd = NiceTreeDecomposition(
+        ((), (0,), (), (), (0,), (), ()), (1, 2, 6, 4, 5, 6, None), root=6
+    )
+    detail = "bags containing vertex 0 split into separate groups (bag 1 cannot reach bag 4)"
+    assert validate_nice(ntd, g) == [Violation("connectivity", detail)]
+    game = Game.build(g, [(0, 0)], [1])
+    with pytest.raises(ValueError) as excinfo:
+        prepare_decomposition(game, ntd)
+    assert str(excinfo.value) == f"not a valid nice tree decomposition (connectivity: {detail})"
 
 
 def test_nice_join_nodes_appear_for_branching_bags():
