@@ -23,7 +23,7 @@ from itertools import chain, repeat
 from typing import Callable, NamedTuple, Sequence
 
 from .critical_clique import build_cc_graph, rooted_forest
-from .game import Game, Profile, ScaledGame, lesser, scale_game, stability_rows
+from .game import Game, Profile, lesser, stability_rows
 from .report import SolveReport, SolveStatus
 
 
@@ -63,10 +63,10 @@ def _psne_rule(rows: list, members: Sequence[int]):
     return value, order
 
 
-def _usw_rule(scaled: ScaledGame, members: Sequence[int]):
+def _usw_rule(game: Game, members: Sequence[int]):
     """USW per clique: the x cheapest members by (cost, index) invest, and
     value[x][t] is the clique's payoff sum at closed total t."""
-    ext, cost = scaled.ext, scaled.cost
+    ext, cost = game.scaled_ext, game.scaled_cost
     cheap = sorted(members, key=lambda v: (cost[v], v))
     gsum = [sum(col) for col in zip(*(ext[v] for v in members))]
     value = [gsum]
@@ -77,13 +77,13 @@ def _usw_rule(scaled: ScaledGame, members: Sequence[int]):
     return value, [cheap] * len(gsum)
 
 
-def _esw_rule(scaled: ScaledGame, members: Sequence[int]):
+def _esw_rule(game: Game, members: Sequence[int]):
     """ESW per clique: at total t, the x members with the largest
     g_v(t) - c(v) invest (smaller index first on ties), and value[x][t] is
     the clique's minimum payoff.  Trading an investor for an abstainer with
     a larger g - c never lowers that minimum, so no other choice of x
     investors does better."""
-    ext, cost = scaled.ext, scaled.cost
+    ext, cost = game.scaled_ext, game.scaled_cost
     size = len(members)
     top = len(ext[members[0]]) - 1
     value = [[0] * (top + 1) for _ in range(size + 1)]
@@ -206,11 +206,11 @@ def _solve(
     game: Game,
     vectors: _Vectors,
     clique_rule: Callable,
-    tabulate: Callable = lambda scaled: scaled,
+    tabulate: Callable = lambda game: game,
 ) -> SolveReport:
     """One bottom-up sweep, then one walk down from each root's best entry.
 
-    `clique_rule(tabulate(scaled), members)` gives a clique's `value` and
+    `clique_rule(tabulate(game), members)` gives a clique's `value` and
     `order` (see the rules above).  `tables[k][x][y]` is the vector over z
     that folds `combine` over K's subtree, and `bests[k][y]` the vector over
     x of its maxima.  A root whose best vector is an empty bitset has no
@@ -223,8 +223,7 @@ def _solve(
     except ValueError as exc:
         return _report(started, SolveStatus.NOT_APPLICABLE, detail=str(exc))
     cliques = cc.cliques
-    scaled = scale_game(game)
-    per_player = tabulate(scaled)
+    per_player = tabulate(game)
     combine, identity, start, merge, rows, bests_of, top, find, items, at, count = vectors
     orders: list = [None] * len(cliques)
     tables: list = [None] * len(cliques)
@@ -281,7 +280,7 @@ def _solve(
     return _report(
         started,
         profile=Profile(frozenset(invest)),
-        value=None if vectors is _BITSETS else Fraction(total, scaled.scale),
+        value=None if vectors is _BITSETS else Fraction(total, game.scale),
         table_entries=entries,
     )
 

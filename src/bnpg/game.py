@@ -5,10 +5,11 @@ abstain.  A player's payoff is an externality function of the number of
 investors in its *closed* neighborhood, minus the cost if it invests itself.
 
 The API is exact rationals: every quantity taken or returned here is a
-`fractions.Fraction`, and nothing ever passes through floats.  The solvers
-call `scale_game` once per solve, which multiplies every value and cost by
-the lcm D of their denominators, run on Python ints, and divide by D only in
-the value they report.
+`fractions.Fraction`, and nothing ever passes through floats.  A `Game`
+scales itself once, when it is built: it multiplies every value and cost by
+the lcm D of their denominators and keeps those ints next to the Fractions.
+The solvers and the oracle run on the ints and divide by D only in the value
+they report.
 """
 
 from __future__ import annotations
@@ -17,15 +18,16 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 Rational = Fraction | int | str
 
 
 # An integer, a decimal a.b or a ratio p/q, in ASCII digits.  `Fraction()`
 # alone would also take exponents, so a 9-byte "1e1000000" would become a
-# 3.3-million-bit integer.
-_RATIONAL_TOKEN = re.compile(r"[+-]?[0-9]+(?:\.[0-9]+|/[0-9]+)?")
+# 3.3-million-bit integer.  The groups are the sign, the integer digits, and
+# the decimals or the denominator; `as_fraction` builds the value from them.
+_RATIONAL_TOKEN = re.compile(r"([+-]?)([0-9]+)(?:\.([0-9]+)|/([0-9]+))?")
 
 
 def as_fraction(value: Rational) -> Fraction:
@@ -37,11 +39,17 @@ def as_fraction(value: Rational) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        if _RATIONAL_TOKEN.fullmatch(value):
-            try:
-                return Fraction(value)
-            except ZeroDivisionError:
-                pass
+        match = _RATIONAL_TOKEN.fullmatch(value)
+        if match:
+            sign, digits, decimals, ratio = match.groups()
+            numerator, denominator = int(digits), 1
+            if decimals is not None:
+                denominator = 10 ** len(decimals)
+                numerator = numerator * denominator + int(decimals)
+            elif ratio is not None:
+                denominator = int(ratio)
+            if denominator:
+                return Fraction(-numerator if sign == "-" else numerator, denominator)
         raise ValueError(f"not an exact rational: {value!r}")
     raise TypeError(f"not an exact rational: {value!r}")
 
@@ -125,17 +133,28 @@ class Game:
 
     `externality[v]` has exactly degree(v)+2 entries, indexed by the number of
     investors in v's closed neighborhood (0 .. degree+1).  Entries and costs
-    are nonnegative rationals.
+    are nonnegative ints or Fractions.
+
+    Construction scales the game once: `scale` is D, the lcm of every
+    denominator, `scaled_ext[v][k]` is g_v(k)·D and `scaled_cost[v]` is
+    c(v)·D.  Multiplying by a positive constant keeps every sum, minimum and
+    comparison, so the solvers run on these ints and report
+    `Fraction(best, scale)`.  Many coprime denominators make D, and every
+    int, that much longer.  `==`, `hash` and `repr` ignore the derived fields.
     """
 
     graph: Graph
     externality: tuple[tuple[Fraction, ...], ...]
     cost: tuple[Fraction, ...]
+    scale: int = field(init=False, repr=False, compare=False)
+    scaled_ext: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    scaled_cost: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.graph.player_count
         if len(self.externality) != n or len(self.cost) != n:
             raise ValueError("externality/cost length must equal player count")
+        denominators: set[int] = set()
         for v in range(n):
             table = self.externality[v]
             expected = self.graph.degree(v) + 2
@@ -144,10 +163,22 @@ class Game:
                     f"player {v}: externality table has {len(table)} entries, "
                     f"needs degree+2 = {expected}"
                 )
-            if any(x < 0 for x in table):
-                raise ValueError(f"player {v}: negative externality value")
-            if self.cost[v] < 0:
-                raise ValueError(f"player {v}: negative cost")
+            for what, values in (("externality value", table), ("cost", (self.cost[v],))):
+                for x in values:
+                    if not isinstance(x, (int, Fraction)):
+                        raise TypeError(f"player {v}: {what} {x!r} is not an int or a Fraction")
+                    if x.numerator < 0:
+                        raise ValueError(f"player {v}: negative {what}")
+                    denominators.add(x.denominator)
+        scale = math.lcm(*denominators)
+        factor = {d: scale // d for d in denominators}
+        ext = tuple(
+            tuple(x.numerator * factor[x.denominator] for x in table) for table in self.externality
+        )
+        cost = tuple(c.numerator * factor[c.denominator] for c in self.cost)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "scaled_ext", ext)
+        object.__setattr__(self, "scaled_cost", cost)
 
     @classmethod
     def build(
@@ -221,15 +252,26 @@ def deviation_gain(game: Game, profile: Profile, v: int) -> Fraction:
 def is_stable(game: Game, v: int, invests: bool, count: int) -> bool:
     """Deviation check given v's full closed-neighborhood investor count.
 
-    For an investing v the count includes v itself.  Equivalent to
-    deviation_gain(...) <= 0 whenever the count matches an actual profile;
-    indifference (gain 0) keeps the player stable.
+    For an investing v the count includes v itself, so it lies in
+    1..degree+1; an abstainer's lies in 0..degree.  A count outside that
+    range matches no profile and raises ValueError.  Equivalent to
+    deviation_gain(...) <= 0; indifference (gain 0) keeps the player stable.
     """
-    return _stable(game.externality[v], game.cost[v], invests, count)
+    if not (0 <= v < game.player_count):
+        raise IndexError(f"player {v} out of range")
+    g = game.scaled_ext[v]
+    low, high = (1, len(g) - 1) if invests else (0, len(g) - 2)
+    if not low <= count <= high:
+        role = "an investor" if invests else "an abstainer"
+        raise ValueError(
+            f"player {v}: {role} cannot have {count} investors in its closed "
+            f"neighborhood (possible: {low}..{high})"
+        )
+    return _stable(g, game.scaled_cost[v], invests, count)
 
 
 def _stable(g, c, invests: bool, count: int) -> bool:
-    # Only differences and >= are used, so this holds for scaled ints too.
+    # The scaled ints of one player: g_v·D and c(v)·D.
     if invests:
         return g[count] - c >= g[count - 1]
     return g[count] >= g[count + 1] - c
@@ -259,43 +301,7 @@ def esw(game: Game, profile: Profile) -> Fraction:
     return min(payoff(game, profile, v) for v in range(game.player_count))
 
 
-class ScaledGame(NamedTuple):
-    """A game's payoff data multiplied by `scale` into Python ints.
-
-    `ext[v][k]` is g_v(k)·scale and `cost[v]` is c(v)·scale.  Multiplying
-    by a positive constant keeps every sum, minimum and comparison, so a
-    solver can work on these ints and report `Fraction(best, scale)`.
-    """
-
-    scale: int
-    ext: tuple[tuple[int, ...], ...]
-    cost: tuple[int, ...]
-
-    def stable(self, v: int, invests: bool, count: int) -> bool:
-        """`is_stable` on the scaled values."""
-        return _stable(self.ext[v], self.cost[v], invests, count)
-
-
-def scale_game(game: Game) -> ScaledGame:
-    """Scale by D, the lcm of every externality and cost denominator.
-
-    D is the smallest scale that makes every value an integer.  It is still
-    the product of all coprime denominators, so an input with many of them
-    makes every int that much longer.
-    """
-    denominators = {c.denominator for c in game.cost}
-    for table in game.externality:
-        denominators.update(x.denominator for x in table)
-    scale = math.lcm(*denominators)
-    ext = tuple(
-        tuple(x.numerator * (scale // x.denominator) for x in table)
-        for table in game.externality
-    )
-    cost = tuple(c.numerator * (scale // c.denominator) for c in game.cost)
-    return ScaledGame(scale, ext, cost)
-
-
-def stability_rows(scaled: ScaledGame) -> list:
+def stability_rows(game: Game) -> list:
     """Per player, (abstain row, invest row) over closed investor counts k:
     True where the player is stable taking that action at k, else None.
 
@@ -303,31 +309,27 @@ def stability_rows(scaled: ScaledGame) -> list:
     itself (k = 1..deg+1) and an abstainer has at most deg investing
     neighbors (k = 0..deg).  Both PSNE dynamic programs read these rows.
     """
-
-    def row(v: int, invests: bool, counts: range) -> tuple:
-        return tuple(
-            True if k in counts and scaled.stable(v, invests, k) else None
-            for k in range(len(scaled.ext[v]))
-        )
-
-    return [
-        (row(v, False, range(len(g) - 1)), row(v, True, range(1, len(g))))
-        for v, g in enumerate(scaled.ext)
-    ]
+    rows = []
+    for g, c in zip(game.scaled_ext, game.scaled_cost):
+        top = len(g) - 1
+        abstain = [True if _stable(g, c, False, k) else None for k in range(top)]
+        invest = [True if _stable(g, c, True, k) else None for k in range(1, top + 1)]
+        rows.append((tuple(abstain) + (None,), (None,) + tuple(invest)))
+    return rows
 
 
 def payoff_levels(game: Game) -> list[Fraction]:
-    """Every payoff value any player can realize, sorted and deduplicated.
+    """Every payoff value any player can realize, sorted and deduplicated:
+    g_v(k) or g_v(k) - c(v) for some count k.
 
-    A player's payoff is always g_v(k) or g_v(k) - c(v) for some count k, so
-    the optimum of any min/threshold objective lies in this finite list.
+    No solver uses it.  It stays only for the benchmark's `esw.candidates`
+    count, and goes with that count.
     """
-    scaled = scale_game(game)
     levels: set[int] = set()
-    for table, c in zip(scaled.ext, scaled.cost):
+    for table, c in zip(game.scaled_ext, game.scaled_cost):
         levels.update(table)
         levels.update(x - c for x in table)
-    return [Fraction(level, scaled.scale) for level in sorted(levels)]
+    return [Fraction(level, game.scale) for level in sorted(levels)]
 
 
 def lesser(a, b):

@@ -39,7 +39,7 @@ def _rational(token: str, line: int, what: str) -> Fraction:
         value = as_fraction(token)
     except ValueError:
         raise ParseError(line, f"{what} is not an exact rational: {token!r}") from None
-    if value < 0:
+    if value.numerator < 0:
         raise ParseError(line, f"{what} must be nonnegative, got {token}")
     return value
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .game import Game, Graph, Profile, scale_game
+from .game import Game, Graph, Profile, is_stable
 
 _TIME_CHECK_STRIDE = 4096
 
@@ -65,14 +65,13 @@ def _psne_profiles(game: Game, limits: OracleLimits) -> Iterator[Profile]:
     """Every pure Nash equilibrium, lazily, in ascending bitmask order."""
     n = _guard(game.player_count, limits)
     closed = _closed_masks(game.graph)
-    scaled = scale_game(game)
     # Stability depends only on (invests, closed investor count): tabulate it.
     ok_invest: list[list[bool]] = []
     ok_abstain: list[list[bool]] = []
     for v in range(n):
-        top = len(scaled.ext[v]) - 1
-        ok_invest.append([False] + [scaled.stable(v, True, k) for k in range(1, top + 1)])
-        ok_abstain.append([scaled.stable(v, False, k) for k in range(top)] + [True])
+        top = game.graph.degree(v) + 1
+        ok_invest.append([False] + [is_stable(game, v, True, k) for k in range(1, top + 1)])
+        ok_abstain.append([is_stable(game, v, False, k) for k in range(top)] + [True])
     deadline = _deadline(limits)
     for mask in range(1 << n):
         _check_deadline(mask, deadline)
@@ -105,8 +104,7 @@ def max_usw(
     """A profile maximizing utilitarian welfare (smallest bitmask on ties)."""
     n = _guard(game.player_count, limits)
     closed = _closed_masks(game.graph)
-    scaled = scale_game(game)
-    players = list(zip(range(n), closed, scaled.ext, scaled.cost))
+    players = list(zip(range(n), closed, game.scaled_ext, game.scaled_cost))
     deadline = _deadline(limits)
     best_mask, best = 0, None
     for mask in range(1 << n):
@@ -119,7 +117,7 @@ def max_usw(
         if best is None or total > best:
             best_mask, best = mask, total
     assert best is not None
-    return _to_profile(best_mask, n), Fraction(best, scaled.scale)
+    return _to_profile(best_mask, n), Fraction(best, game.scale)
 
 
 def max_esw(
@@ -130,8 +128,7 @@ def max_esw(
     if n == 0:
         raise ValueError("egalitarian welfare is undefined for a zero-player game")
     closed = _closed_masks(game.graph)
-    scaled = scale_game(game)
-    players = list(zip(range(n), closed, scaled.ext, scaled.cost))
+    players = list(zip(range(n), closed, game.scaled_ext, game.scaled_cost))
     deadline = _deadline(limits)
     best_mask, best = 0, None
     for mask in range(1 << n):
@@ -146,7 +143,7 @@ def max_esw(
         if best is None or low > best:
             best_mask, best = mask, low
     assert best is not None
-    return _to_profile(best_mask, n), Fraction(best, scaled.scale)
+    return _to_profile(best_mask, n), Fraction(best, game.scale)
 
 
 def find_3regular_induced(

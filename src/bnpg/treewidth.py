@@ -36,7 +36,7 @@ from .decomposition import (
     to_nice,
     validate_nice,
 )
-from .game import Game, Graph, Profile, lesser, scale_game, stability_rows
+from .game import Game, Graph, Profile, lesser, stability_rows
 from .report import SolveReport, SolveStatus
 
 
@@ -207,7 +207,7 @@ def solve_psne_treewidth(
     """Find a pure Nash equilibrium, or prove none exists."""
     started = time.perf_counter()
     ntd = prepare_decomposition(game, decomposition)
-    rows = stability_rows(scale_game(game))
+    rows = stability_rows(game)
     tables, witnesses = _sweep(game, ntd, rows, operator.and_, True)
     found = 0 in tables[ntd.root]
     return _report(started, game, ntd, tables, witnesses if found else None)
@@ -217,10 +217,9 @@ def _best_welfare(game: Game, decomposition, combine: Callable, identity) -> Sol
     """One sweep over the scaled payoffs; the root holds the optimum."""
     started = time.perf_counter()
     ntd = prepare_decomposition(game, decomposition)
-    scaled = scale_game(game)
-    payoffs = [(g, tuple(x - c for x in g)) for g, c in zip(scaled.ext, scaled.cost)]
+    payoffs = [(g, tuple(x - c for x in g)) for g, c in zip(game.scaled_ext, game.scaled_cost)]
     tables, witnesses = _sweep(game, ntd, payoffs, combine, identity)
-    value = Fraction(tables[ntd.root][0], scaled.scale)
+    value = Fraction(tables[ntd.root][0], game.scale)
     return _report(started, game, ntd, tables, witnesses, value)
 
 

@@ -12,7 +12,7 @@ from bnpg.ccforest import (
     solve_usw_ccforest,
 )
 from bnpg.critical_clique import CriticalCliqueGraph, build_cc_graph, is_forest
-from bnpg.game import Game, Graph, Profile, esw, is_psne, scale_game, stability_rows, usw
+from bnpg.game import Game, Graph, Profile, esw, is_psne, stability_rows, usw
 from bnpg.instance_io import GameSpec, gen_random_game
 from bnpg.oracle import enum_psne, max_esw, max_usw
 from bnpg.report import SolveStatus
@@ -36,7 +36,7 @@ from helpers import (
 
 
 def _rule(game, members):
-    return _psne_rule(stability_rows(scale_game(game)), members)
+    return _psne_rule(stability_rows(game), members)
 
 
 def _counts(value, t):
@@ -251,7 +251,7 @@ def _check_coprime_corpus(games):
         _check_against_oracle(game)
         for solve in (solve_usw_ccforest, solve_esw_ccforest):
             assert isinstance(solve(game).value, Fraction)
-        scales.add(scale_game(game).scale)
+        scales.add(game.scale)
     assert max(scales) == 1155
 
 

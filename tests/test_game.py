@@ -9,19 +9,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bnpg.game import (
+    _RATIONAL_TOKEN,
     Game,
     Graph,
     Profile,
+    as_fraction,
     deviation_gain,
     esw,
     is_psne,
     is_stable,
     payoff,
     payoff_levels,
-    scale_game,
     stability_rows,
     usw,
 )
+from bnpg.instance_io import parse_instance, serialize_instance
 
 from helpers import (
     best_shot_game,
@@ -144,6 +146,56 @@ def test_build_accepts_every_form_of_the_number_grammar():
     assert game.cost[0] == Fraction(15, 2)
 
 
+@given(st.from_regex(_RATIONAL_TOKEN, fullmatch=True))
+def test_as_fraction_reads_every_token_of_the_grammar_as_fraction_does(token):
+    try:
+        expected = Fraction(token)
+    except ZeroDivisionError:
+        with pytest.raises(ValueError, match="not an exact rational"):
+            as_fraction(token)
+    else:
+        assert as_fraction(token) == expected
+
+
+@pytest.mark.parametrize(
+    "token, value",
+    [("-0", 0), ("+0.50", Fraction(1, 2)), ("007.50", Fraction(15, 2)), ("-3/6", Fraction(-1, 2))],
+)
+def test_as_fraction_keeps_signs_and_reduces(token, value):
+    got = as_fraction(token)
+    assert isinstance(got, Fraction)
+    assert (got.numerator, got.denominator) == (value.numerator, value.denominator)
+
+
+@pytest.mark.parametrize("token", ["1/0", "3/000", "-0/0"])
+def test_as_fraction_rejects_zero_denominators(token):
+    with pytest.raises(ValueError, match="not an exact rational"):
+        as_fraction(token)
+
+
+@pytest.mark.parametrize("bad", [0.5, "1/2"])
+def test_game_rejects_entries_that_are_not_ints_or_fractions(bad):
+    g = path_graph(2)
+    with pytest.raises(TypeError, match="player 1: externality value"):
+        Game(g, ((0, 1, 2), (0, bad, 2)), (0, 0))
+    with pytest.raises(TypeError, match="player 1: cost"):
+        Game(g, ((0, 1, 2), (0, 1, 2)), (0, bad))
+
+
+def test_game_scales_once_and_keeps_the_ints_out_of_eq_hash_and_repr():
+    game = Game.build(path_graph(2), [("1/2", 1, "3/4"), (0, "1/3", 1)], ["1/6", 0])
+    assert game.scale == 12
+    assert game.scaled_ext == ((6, 12, 9), (0, 4, 12))
+    assert game.scaled_cost == (2, 0)
+    assert "scale" not in repr(game)
+    other = Game(game.graph, game.externality, game.cost)
+    object.__setattr__(other, "scale", 24)
+    object.__setattr__(other, "scaled_ext", ((12, 24, 18), (0, 8, 24)))
+    object.__setattr__(other, "scaled_cost", (4, 0))
+    assert other == game and hash(other) == hash(game)
+    assert parse_instance(serialize_instance(game)) == game
+
+
 # ---------------------------------------------------------------------------
 # Payoffs and deviation
 # ---------------------------------------------------------------------------
@@ -173,6 +225,24 @@ def test_stability_matches_deviation_gain(pair):
         assert is_stable(game, v, invests, count) == (
             deviation_gain(game, profile, v) <= 0
         )
+
+
+@pytest.mark.parametrize(
+    "invests, count",
+    [(True, 0), (True, 3), (False, -1), (False, 2)],
+)
+def test_is_stable_rejects_counts_no_profile_realizes(invests, count):
+    # one edge: player 0 has degree 1, so an investor sees 1..2 investors
+    # and an abstainer 0..1
+    game = best_shot_game(path_graph(2))
+    with pytest.raises(ValueError, match=f"player 0: .* cannot have {count} investors"):
+        is_stable(game, 0, invests, count)
+
+
+@pytest.mark.parametrize("v", [-1, 2])
+def test_is_stable_rejects_players_out_of_range(v):
+    with pytest.raises(IndexError, match=f"player {v} out of range"):
+        is_stable(best_shot_game(path_graph(2)), v, True, 1)
 
 
 @given(games_with_profile())
@@ -218,22 +288,21 @@ def test_scaling_is_exact_on_coprime_denominators():
     scales = set()
     for _ in range(40):
         game = coprime_game(gnp_graph(rng.randrange(0, 7), 0.5, rng), rng)
-        scaled = scale_game(game)
         dens = [x.denominator for t in game.externality for x in t]
         dens += [c.denominator for c in game.cost]
-        assert scaled.scale == math.lcm(*dens)
-        scales.add(scaled.scale)
+        assert game.scale == math.lcm(*dens)
+        scales.add(game.scale)
         for v in range(game.player_count):
-            assert [Fraction(x, scaled.scale) for x in scaled.ext[v]] == list(
+            assert [Fraction(x, game.scale) for x in game.scaled_ext[v]] == list(
                 game.externality[v]
             )
-            assert Fraction(scaled.cost[v], scaled.scale) == game.cost[v]
+            assert Fraction(game.scaled_cost[v], game.scale) == game.cost[v]
         assert payoff_levels(game) == _fraction_levels(game)
     assert max(scales) == 1155
 
 
 def _check_stability_rows(game):
-    rows = stability_rows(scale_game(game))
+    rows = stability_rows(game)
     assert len(rows) == game.player_count
     for v, (abstain, invest) in enumerate(rows):
         top = game.graph.degree(v) + 1

@@ -136,6 +136,11 @@ def test_documented_number_forms_are_accepted(a, b, q, form):
     assert parse_instance(_cost_line(token)).cost[0] == Fraction(token)
 
 
+@pytest.mark.parametrize("token", ["-0", "-0.00", "-0/7", "+0"])
+def test_negative_zero_is_nonnegative(token):
+    assert parse_instance(_cost_line(token)).cost[0] == 0
+
+
 @pytest.mark.parametrize("token", ["1e1000000", "2.5E3", "1e3", ".5", "5.", "1_000"])
 def test_undocumented_number_forms_are_rejected(token):
     with pytest.raises(ParseError, match="not an exact rational") as err:

@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from bnpg.game import Game, Graph, Profile, esw, is_psne, scale_game, usw
+from bnpg.game import Game, Graph, Profile, esw, is_psne, usw
 from bnpg.oracle import (
     LimitExceeded,
     OracleLimits,
@@ -137,7 +137,7 @@ def test_coprime_denominators_match_the_fraction_evaluators():
     for _ in range(30):
         n = rng.randrange(1, 7)
         game = coprime_game(gnp_graph(n, rng.choice((0.3, 0.6)), rng), rng)
-        scales.add(scale_game(game).scale)
+        scales.add(game.scale)
         profiles = [
             Profile(frozenset(v for v in range(n) if bits >> v & 1))
             for bits in range(1 << n)

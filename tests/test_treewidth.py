@@ -7,7 +7,7 @@ import pytest
 
 from bnpg.ccforest import solve_psne_ccforest, solve_usw_ccforest, solve_esw_ccforest
 from bnpg.decomposition import heuristic_decomposition, to_nice
-from bnpg.game import Game, Graph, is_psne, scale_game, usw, esw
+from bnpg.game import Game, Graph, is_psne, usw, esw
 from bnpg.instance_io import GameSpec, gen_random_game
 from bnpg.oracle import enum_psne, max_usw, max_esw
 from bnpg.report import SolveStatus
@@ -174,7 +174,7 @@ def _check_coprime_corpus(games):
         check_against_oracle(game)
         for solve in (solve_usw_treewidth, solve_esw_treewidth):
             assert isinstance(solve(game).value, Fraction)
-        scales.add(scale_game(game).scale)
+        scales.add(game.scale)
     assert max(scales) == 1155
 
 
