@@ -32,7 +32,6 @@ from .instance_io import (
     FAMILIES,
     G_MODES,
     GameSpec,
-    ParseError,
     format_rational,
     gen_random_game,
     parse_graph,
@@ -106,12 +105,12 @@ def _load_td(args, game: Game) -> TreeDecomposition | None:
     return td
 
 
-def _solve_command(kind: str, args) -> int:
+def _solve_command(args) -> int:
     game = parse_instance(_read_text(args.instance))
     td = _load_td(args, game)
     limits = OracleLimits(max_players=args.oracle_limit)
-    report = solve(game, kind, args.algo, td, limits, args.width_cap)
-    return _print_solve(kind, report, args.machine)
+    report = solve(game, args.command, args.algo, td, limits, args.width_cap)
+    return _print_solve(args.command, report, args.machine)
 
 
 def _print_solve(kind: str, report: SolveReport, machine: bool) -> int:
@@ -347,31 +346,27 @@ def build_parser() -> _Parser:
     return parser
 
 
+_COMMANDS = {
+    "psne": _solve_command,
+    "usw": _solve_command,
+    "esw": _solve_command,
+    "verify": _verify_command,
+    "reduce": _reduce_command,
+    "gen": _gen_command,
+    "ccgraph": _ccgraph_command,
+    "decompose": _decompose_command,
+}
+
+
 def main(argv: "list[str] | None" = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command in ("psne", "usw", "esw"):
-            return _solve_command(args.command, args)
-        if args.command == "verify":
-            return _verify_command(args)
-        if args.command == "reduce":
-            return _reduce_command(args)
-        if args.command == "gen":
-            return _gen_command(args)
-        if args.command == "ccgraph":
-            return _ccgraph_command(args)
-        return _decompose_command(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return _COMMANDS[args.command](args)
     except LimitExceeded as exc:
         print(f"limit exceeded: {exc}", file=sys.stderr)
         return EXIT_NOT_APPLICABLE
-    except (ValueError, IndexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except OSError as exc:
+    except (ValueError, IndexError, OSError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -8,7 +8,7 @@ that graph is a forest the dynamic programs in `ccforest` apply.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .game import Graph
 
@@ -68,28 +68,13 @@ class RootedForest:
 
     One root per component (the lowest clique index); children are in
     ascending index order; `postorder` lists every clique with children
-    before parents, components in root order.
+    before parents.
     """
 
     roots: tuple[int, ...]
     parent: tuple[int | None, ...]
     children: tuple[tuple[int, ...], ...]
-    postorder: tuple[int, ...] = field(default=())
-
-    def __post_init__(self) -> None:
-        if not self.postorder:
-            order: list[int] = []
-            for root in self.roots:
-                stack: list[tuple[int, bool]] = [(root, False)]
-                while stack:
-                    node, expanded = stack.pop()
-                    if expanded:
-                        order.append(node)
-                        continue
-                    stack.append((node, True))
-                    for child in reversed(self.children[node]):
-                        stack.append((child, False))
-            object.__setattr__(self, "postorder", tuple(order))
+    postorder: tuple[int, ...]
 
 
 def rooted_forest(cc: CriticalCliqueGraph) -> RootedForest:
@@ -104,6 +89,7 @@ def rooted_forest(cc: CriticalCliqueGraph) -> RootedForest:
     children: list[list[int]] = [[] for _ in range(t)]
     roots: list[int] = []
     seen = [False] * t
+    order: list[int] = []  # breadth-first, so every parent precedes its children
     for start in range(t):
         if seen[start]:
             continue
@@ -112,6 +98,7 @@ def rooted_forest(cc: CriticalCliqueGraph) -> RootedForest:
         queue = deque([start])
         while queue:
             node = queue.popleft()
+            order.append(node)
             for nb in sorted(cg.neighbors(node)):
                 if not seen[nb]:
                     seen[nb] = True
@@ -124,4 +111,5 @@ def rooted_forest(cc: CriticalCliqueGraph) -> RootedForest:
         tuple(roots),
         tuple(parent),
         tuple(tuple(c) for c in children),
+        tuple(reversed(order)),
     )

@@ -66,10 +66,7 @@ class TreeDecomposition:
                 f"got {len(self.tree_edges)}"
             )
         # connectivity of the skeleton (with the right edge count => a tree)
-        adj: list[list[int]] = [[] for _ in self.bags]
-        for u, v in self.tree_edges:
-            adj[u].append(v)
-            adj[v].append(u)
+        adj = self.skeleton_neighbors()
         seen_bags = {0}
         queue = deque([0])
         while queue:

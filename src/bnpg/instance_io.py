@@ -182,14 +182,16 @@ def parse_graph(text: str) -> tuple[Graph, frozenset[int]]:
     need a bipartition and is empty otherwise.
     """
     n: int | None = None
-    edges: list[tuple[int, int]] = []
+    edges: set[tuple[int, int]] = set()
     red: set[int] = set()
     for idx, parts in _significant_lines(text):
         kind, args = parts[0], parts[1:]
         if kind == "n":
             if n is not None:
                 raise ParseError(idx, "duplicate vertex-count line")
-            n = _int(args[0] if args else "", idx, "vertex count")
+            if len(args) != 1:
+                raise ParseError(idx, "expected: n <count>")
+            n = _int(args[0], idx, "vertex count")
             if n < 0:
                 raise ParseError(idx, "vertex count must be >= 0")
             continue
@@ -204,7 +206,10 @@ def parse_graph(text: str) -> tuple[Graph, frozenset[int]]:
                     raise ParseError(idx, f"vertex {w} out of range [0, {n})")
             if u == v:
                 raise ParseError(idx, f"self-loop at {u}")
-            edges.append((u, v))
+            key = (u, v) if u < v else (v, u)
+            if key in edges:
+                raise ParseError(idx, f"duplicate edge ({key[0]}, {key[1]})")
+            edges.add(key)
         elif kind == "red":
             for a in args:
                 v = _int(a, idx, "vertex")
@@ -215,11 +220,7 @@ def parse_graph(text: str) -> tuple[Graph, frozenset[int]]:
             raise ParseError(idx, f"unknown directive {kind!r}")
     if n is None:
         raise ParseError(1, "missing vertex count line")
-    try:
-        graph = Graph.from_edges(n, edges)
-    except ValueError as exc:
-        raise ParseError(None, str(exc)) from None
-    return graph, frozenset(red)
+    return Graph(n, frozenset(edges)), frozenset(red)
 
 
 def serialize_graph(graph: Graph, red: frozenset[int] = frozenset()) -> str:

@@ -7,7 +7,8 @@ moment every neighbor is either still in the bag or already forgotten, so its
 final closed-neighborhood investor count is known and the objective can act
 on it: PSNE keeps only stable settlements (`game.stability_rows`, the table
 ccforest's PSNE reads too), USW adds payoffs (max, +), and ESW takes their
-minimum (max, min), all in one sweep.
+minimum (max, min).  One `_solve` answers all three questions: one sweep,
+a root check, one replay of the witnesses.
 
 A state is packed into one int.  The vertex at bag position p owns the
 W-bit field starting at bit p*W, where W = max_degree.bit_length() + 1:
@@ -179,23 +180,34 @@ def _replay(game: Game, ntd: NiceTreeDecomposition, witnesses: list[dict]) -> Pr
     return Profile(frozenset(invest))
 
 
-def _report(
-    started: float,
+def _payoff_rows(game: Game) -> list:
+    """Per player, what it adds when it settles: g_v(k) abstaining, and
+    g_v(k) - c_v investing, both scaled."""
+    return [(g, tuple(x - c for x in g)) for g, c in zip(game.scaled_ext, game.scaled_cost)]
+
+
+def _solve(
     game: Game,
-    ntd: NiceTreeDecomposition,
-    tables: list[dict],
-    witnesses: "list[dict] | None",
-    value: Fraction | None = None,
+    decomposition: "TreeDecomposition | NiceTreeDecomposition | None",
+    tabulate: Callable,
+    combine: Callable,
+    identity,
 ) -> SolveReport:
-    """SOLVED with the profile replayed from `witnesses`, or NO_PSNE
-    without them; timed from `started`."""
+    """One sweep over `tabulate(game)`, then one replay from the root's
+    empty-bag state.  A root without that state has no equilibrium; a
+    welfare root always has it, and holds the optimum there."""
+    started = time.perf_counter()
+    ntd = prepare_decomposition(game, decomposition)
+    tables, witnesses = _sweep(game, ntd, tabulate(game), combine, identity)
+    root = tables[ntd.root]
+    found = 0 in root
     return SolveReport(
-        status=SolveStatus.NO_PSNE if witnesses is None else SolveStatus.SOLVED,
+        status=SolveStatus.SOLVED if found else SolveStatus.NO_PSNE,
         algorithm="treewidth",
-        profile=None if witnesses is None else _replay(game, ntd, witnesses),
-        value=value,
+        profile=_replay(game, ntd, witnesses) if found else None,
+        value=None if tabulate is stability_rows else Fraction(root[0], game.scale),
         elapsed=time.perf_counter() - started,
-        table_entries=sum(len(t) for t in tables),
+        table_entries=sum(map(len, tables)),
         detail=f"decomposition width {ntd.width()}",
     )
 
@@ -205,22 +217,7 @@ def solve_psne_treewidth(
     decomposition: "TreeDecomposition | NiceTreeDecomposition | None" = None,
 ) -> SolveReport:
     """Find a pure Nash equilibrium, or prove none exists."""
-    started = time.perf_counter()
-    ntd = prepare_decomposition(game, decomposition)
-    rows = stability_rows(game)
-    tables, witnesses = _sweep(game, ntd, rows, operator.and_, True)
-    found = 0 in tables[ntd.root]
-    return _report(started, game, ntd, tables, witnesses if found else None)
-
-
-def _best_welfare(game: Game, decomposition, combine: Callable, identity) -> SolveReport:
-    """One sweep over the scaled payoffs; the root holds the optimum."""
-    started = time.perf_counter()
-    ntd = prepare_decomposition(game, decomposition)
-    payoffs = [(g, tuple(x - c for x in g)) for g, c in zip(game.scaled_ext, game.scaled_cost)]
-    tables, witnesses = _sweep(game, ntd, payoffs, combine, identity)
-    value = Fraction(tables[ntd.root][0], game.scale)
-    return _report(started, game, ntd, tables, witnesses, value)
+    return _solve(game, decomposition, stability_rows, operator.and_, True)
 
 
 def solve_usw_treewidth(
@@ -228,7 +225,7 @@ def solve_usw_treewidth(
     decomposition: "TreeDecomposition | NiceTreeDecomposition | None" = None,
 ) -> SolveReport:
     """Maximize the sum of payoffs (the organizer dictates every action)."""
-    return _best_welfare(game, decomposition, operator.add, 0)
+    return _solve(game, decomposition, _payoff_rows, operator.add, 0)
 
 
 def solve_esw_treewidth(
@@ -244,4 +241,4 @@ def solve_esw_treewidth(
     """
     if game.player_count == 0:
         raise ValueError("egalitarian welfare is undefined for a zero-player game")
-    return _best_welfare(game, decomposition, lesser, math.inf)
+    return _solve(game, decomposition, _payoff_rows, lesser, math.inf)

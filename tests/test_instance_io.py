@@ -185,6 +185,8 @@ def test_graph_round_trip():
         ("n 3\nred 9\n", "out of range"),
         ("n 3\nfoo\n", "unknown directive"),
         ("", "missing vertex count"),
+        ("n 3 7\n", "line 1: expected: n <count>"),
+        ("n 3\ne 0 1\ne 1 0\n", r"line 3: duplicate edge \(0, 1\)"),
     ],
 )
 def test_graph_errors(text, fragment):

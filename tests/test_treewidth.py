@@ -210,6 +210,23 @@ def test_esw_makes_one_sweep(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("solve", [solve_psne_treewidth, solve_usw_treewidth])
+def test_each_solve_makes_one_sweep(solve, monkeypatch):
+    import bnpg.treewidth as treewidth
+
+    calls = []
+    original = treewidth._sweep
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(treewidth, "_sweep", counted)
+    game = random_game(cycle_graph(7), random.Random(120))
+    assert solve(game).algorithm == "treewidth"
+    assert calls == [1]
+
+
 @pytest.mark.parametrize("g_mode", ["monotone", "arbitrary"])
 def test_esw_agrees_with_oracle_on_bounded_tw_games(g_mode):
     """Width-2 games built around hubs, with the min-fill decomposition and
