@@ -347,8 +347,15 @@ def heuristic_decomposition(
 
     `min_fill` eliminates the vertex whose neighborhood needs the fewest new
     edges to become a clique; `min_degree` the vertex of least degree.  Ties
-    break on the smaller vertex index, so results are deterministic.
+    break on the smaller vertex index, so results are deterministic.  The
+    next vertex comes off a heap of (score, vertex) entries: a vertex whose
+    score changes gets a new entry, and an entry whose vertex is gone or
+    rescored is skipped when it surfaces, so each step costs a logarithm,
+    not a scan of every live vertex.
     """
+    # imported here, not at the top, so that `import bnpg.cli` does not load it
+    from heapq import heapify, heappop, heappush
+
     if heuristic not in HEURISTICS:
         raise ValueError(f"unknown heuristic {heuristic!r}; expected one of {HEURISTICS}")
     n = graph.player_count
@@ -368,14 +375,20 @@ def heuristic_decomposition(
                     missing += 1
         return missing
 
-    scores: dict[int, int] = {}
-    for v in live:
-        scores[v] = fill_score(v) if heuristic == "min_fill" else len(live[v])
+    def degree(v: int) -> int:
+        return len(live[v])
+
+    score = fill_score if heuristic == "min_fill" else degree
+    scores = {v: score(v) for v in live}
+    heap = [(s, v) for v, s in scores.items()]
+    heapify(heap)
 
     elim_index: dict[int, int] = {}
     bags: list[tuple[int, ...]] = []
     for step in range(n):
-        v = min(live, key=lambda u: (scores[u], u))
+        s, v = heappop(heap)
+        while scores.get(v) != s:  # stale: v is eliminated or rescored
+            s, v = heappop(heap)
         nbrs = sorted(live[v])
         bags.append(tuple(sorted([v] + nbrs)))
         elim_index[v] = step
@@ -393,7 +406,10 @@ def heuristic_decomposition(
         del scores[v]
         dirty.discard(v)
         for u in dirty & live.keys():
-            scores[u] = fill_score(u) if heuristic == "min_fill" else len(live[u])
+            s = score(u)
+            if s != scores[u]:
+                scores[u] = s
+                heappush(heap, (s, u))
     edges = []
     for i, bag in enumerate(bags):
         later = [u for u in bag if elim_index[u] > i]

@@ -7,8 +7,9 @@ moment every neighbor is either still in the bag or already forgotten, so its
 final closed-neighborhood investor count is known and the objective can act
 on it: PSNE keeps only stable settlements (`game.stability_rows`, the table
 ccforest's PSNE reads too), USW adds payoffs (max, +), and ESW takes their
-minimum (max, min).  One `_solve` answers all three questions: one sweep,
-a root check, one replay of the witnesses.
+minimum (max, min).  One `_solve` answers all three questions: one sweep
+that keeps only the tables, a root check, and one replay that recomputes
+the witness from the tables on the way down.
 
 A state is packed into one int.  The vertex at bag position p owns the
 W-bit field starting at bit p*W, where W = max_degree.bit_length() + 1:
@@ -71,36 +72,47 @@ def _field_width(graph: Graph) -> int:
     return degree.bit_length() + 1
 
 
+def _forget_layout(graph: Graph, ntd: NiceTreeDecomposition, i: int, width: int):
+    """For forget node i: the forgotten vertex's field shift in the child's
+    layout, the invest bits of its bag neighbors there, and one count for
+    each of them in node i's layout."""
+    v = ntd.distinguished[i]
+    child_bag = ntd.bags[ntd.children[i][0]]
+    v_nbrs = graph.neighbors(v)
+    shift = child_bag.index(v) * width
+    nbr_invest = sum(1 << (p * width) for p, x in enumerate(child_bag) if x in v_nbrs)
+    bump = sum(2 << (p * width) for p, x in enumerate(ntd.bags[i]) if x in v_nbrs)
+    return shift, nbr_invest, bump
+
+
 def _sweep(
     game: Game,
     ntd: NiceTreeDecomposition,
     contribution: list,
     combine: Callable,
     identity,
-):
-    """One bottom-up pass; returns (tables, witnesses).
+) -> list[dict]:
+    """One bottom-up pass; returns the tables and nothing else.
 
     A state's objective folds `combine` over its settled players, from
     `identity` at the leaves: `contribution[v][invests][k]` is what v adds
     when it settles with k closed-neighborhood investors, or None to drop
-    the state.  tables[i] keeps the best objective per packed state key,
-    and witnesses[i] the child keys it came from, one per child.  Child
-    tables are read in insertion order, which the decomposition fixes, so
-    ties break the same way on every run.
+    the state.  tables[i] keeps the best objective per packed state key.
+    Child tables are read in insertion order, which the decomposition
+    fixes, and a key keeps the first child state (forget) or pair (join,
+    left then right) that reaches its best, so `_replay` can find that same
+    witness again and ties break the same way on every run.
     """
     graph = game.graph
     width = _field_width(graph)
     field = (1 << width) - 1
     bags = ntd.bags
     tables: list[dict] = [None] * len(bags)
-    witnesses: list[dict] = [None] * len(bags)
     for i in ntd.postorder:
         kind = ntd.kinds[i]
         table: dict = {}
-        witness: dict = {}
         if kind == "leaf":
             table[0] = identity
-            witness[0] = ()
         elif kind == "introduce":
             shift = bags[i].index(ntd.distinguished[i]) * width
             below = (1 << shift) - 1
@@ -109,24 +121,14 @@ def _sweep(
                 # the newcomer has no forgotten neighbors yet: its edges are
                 # covered by bags at or above this node
                 abstain_key = (key & below) | ((key >> shift) << (shift + width))
-                invest_key = abstain_key | invest
                 table[abstain_key] = val
-                witness[abstain_key] = (key,)
-                table[invest_key] = val
-                witness[invest_key] = (key,)
+                table[abstain_key | invest] = val
         elif kind == "forget":
-            child = ntd.children[i][0]
-            v = ntd.distinguished[i]
-            v_nbrs = graph.neighbors(v)
-            shift = bags[child].index(v) * width
+            shift, nbr_invest, bump = _forget_layout(graph, ntd, i, width)
             below = (1 << shift) - 1
             above = shift + width
-            # invest bits of v's bag neighbors in the child's layout, and one
-            # count for each of them in this node's layout
-            nbr_invest = sum(1 << (p * width) for p, x in enumerate(bags[child]) if x in v_nbrs)
-            bump = sum(2 << (p * width) for p, x in enumerate(bags[i]) if x in v_nbrs)
-            rows = contribution[v]
-            for key, val in tables[child].items():
+            rows = contribution[ntd.distinguished[i]]
+            for key, val in tables[ntd.children[i][0]].items():
                 own = (key >> shift) & field
                 invests = own & 1
                 k = (own >> 1) + (key & nbr_invest).bit_count() + invests
@@ -140,15 +142,14 @@ def _sweep(
                 old = table.get(new_key)
                 if old is None or new_val > old:
                     table[new_key] = new_val
-                    witness[new_key] = (key,)
         else:  # join
             left, right = ntd.children[i]
             investing = sum(1 << (p * width) for p in range(len(bags[i])))
             grouped: dict[int, list] = {}
             for key, val in tables[right].items():
-                grouped.setdefault(key & investing, []).append((key, key & ~investing, val))
+                grouped.setdefault(key & investing, []).append((key & ~investing, val))
             for key_l, val_l in tables[left].items():
-                for key_r, counts_r, val_r in grouped.get(key_l & investing, ()):
+                for counts_r, val_r in grouped.get(key_l & investing, ()):
                     # both sides carry the same invest bits; the counts add
                     # field by field without carries
                     new_key = key_l + counts_r
@@ -156,27 +157,79 @@ def _sweep(
                     old = table.get(new_key)
                     if old is None or new_val > old:
                         table[new_key] = new_val
-                        witness[new_key] = (key_l, key_r)
         tables[i] = table
-        witnesses[i] = witness
-    return tables, witnesses
+    return tables
 
 
-def _replay(game: Game, ntd: NiceTreeDecomposition, witnesses: list[dict]) -> Profile:
-    """Walk the chosen root state back down, reading at each forget the
-    invest bit of the forgotten vertex in the child's key."""
-    width = _field_width(game.graph)
+def _replay(
+    game: Game,
+    ntd: NiceTreeDecomposition,
+    tables: list[dict],
+    contribution: list,
+    combine: Callable,
+) -> Profile:
+    """Walk the root's empty-bag state back down, recomputing at each node
+    the child keys `_sweep` kept, and read at each forget the invest bit of
+    the forgotten vertex in the child's key.
+
+    - Introduce: the child key is the key without the newcomer's field.
+    - Forget: the first child key, in insertion order, that maps to the key
+      and whose `combine` with its contribution equals the key's value.
+    - Join: the first left key, in insertion order, whose one possible
+      right partner (the key minus the left counts, with the key's invest
+      bits) is in the right table and combines to the key's value.
+
+    The sweep keeps the first child key or pair that reaches a key's best
+    value, and a left key fixes its partner, so these scans find the same
+    witness it kept.  Each node's table is scanned at most once.
+    """
+    graph = game.graph
+    width = _field_width(graph)
+    field = (1 << width) - 1
+    bags = ntd.bags
     invest: set[int] = set()
     stack: list[tuple[int, int]] = [(ntd.root, 0)]
     while stack:
         i, key = stack.pop()
-        child_keys = witnesses[i][key]
-        if ntd.kinds[i] == "forget":
-            v = ntd.distinguished[i]
+        target = tables[i][key]
+        kind = ntd.kinds[i]
+        if kind == "introduce":
+            shift = bags[i].index(ntd.distinguished[i]) * width
+            below = (1 << shift) - 1
+            stack.append((ntd.children[i][0], (key & below) | ((key >> (shift + width)) << shift)))
+        elif kind == "forget":
             child = ntd.children[i][0]
-            if child_keys[0] >> (ntd.bags[child].index(v) * width) & 1:
-                invest.add(v)
-        stack.extend(zip(ntd.children[i], child_keys))
+            shift, nbr_invest, bump = _forget_layout(graph, ntd, i, width)
+            below = (1 << shift) - 1
+            above = shift + width
+            rows = contribution[ntd.distinguished[i]]
+            for child_key, val in tables[child].items():
+                own = (child_key >> shift) & field
+                invests = own & 1
+                if (child_key & below) | ((child_key >> above) << shift) != key - invests * bump:
+                    continue
+                adds = rows[invests][(own >> 1) + (child_key & nbr_invest).bit_count() + invests]
+                if adds is not None and combine(val, adds) == target:
+                    break
+            if invests:
+                invest.add(ntd.distinguished[i])
+            stack.append((child, child_key))
+        elif kind == "join":
+            left, right = ntd.children[i]
+            investing = sum(1 << (p * width) for p in range(len(bags[i])))
+            bits = key & investing
+            right_table = tables[right]
+            for key_l, val_l in tables[left].items():
+                counts_r = key - key_l
+                # a count of key_l above key's borrows from the next field
+                # up, setting its invest bit, or makes the difference negative
+                if key_l & investing != bits or counts_r < 0 or counts_r & investing:
+                    continue
+                val_r = right_table.get(counts_r | bits)
+                if val_r is not None and combine(val_l, val_r) == target:
+                    break
+            stack.append((left, key_l))
+            stack.append((right, counts_r | bits))
     return Profile(frozenset(invest))
 
 
@@ -198,13 +251,14 @@ def _solve(
     welfare root always has it, and holds the optimum there."""
     started = time.perf_counter()
     ntd = prepare_decomposition(game, decomposition)
-    tables, witnesses = _sweep(game, ntd, tabulate(game), combine, identity)
+    contribution = tabulate(game)
+    tables = _sweep(game, ntd, contribution, combine, identity)
     root = tables[ntd.root]
     found = 0 in root
     return SolveReport(
         status=SolveStatus.SOLVED if found else SolveStatus.NO_PSNE,
         algorithm="treewidth",
-        profile=_replay(game, ntd, witnesses) if found else None,
+        profile=_replay(game, ntd, tables, contribution, combine) if found else None,
         value=None if tabulate is stability_rows else Fraction(root[0], game.scale),
         elapsed=time.perf_counter() - started,
         table_entries=sum(map(len, tables)),

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from bnpg.decomposition import TreeDecomposition
 from bnpg.game import Game, Graph
 
 
@@ -139,3 +140,59 @@ def connected_atlas(max_n: int):
             Graph.from_edges(n, [(relabel[u], relabel[v]) for u, v in g.edges()])
         )
     return out
+
+
+def reference_elimination(graph: Graph, heuristic: str) -> TreeDecomposition:
+    """`heuristic_decomposition` as it was before the heap: each step takes
+    `min` over every live vertex by (score, vertex).  Quadratic, and kept
+    only as the reference the heap version must equal."""
+    n = graph.player_count
+    if n == 0:
+        return TreeDecomposition(((),), ())
+    live: dict[int, set[int]] = {v: set(graph.neighbors(v)) for v in range(n)}
+
+    def fill_score(v: int) -> int:
+        nbrs = sorted(live[v])
+        missing = 0
+        for i, a in enumerate(nbrs):
+            adj_a = live[a]
+            for b in nbrs[i + 1 :]:
+                if b not in adj_a:
+                    missing += 1
+        return missing
+
+    scores: dict[int, int] = {}
+    for v in live:
+        scores[v] = fill_score(v) if heuristic == "min_fill" else len(live[v])
+
+    elim_index: dict[int, int] = {}
+    bags: list[tuple[int, ...]] = []
+    for step in range(n):
+        v = min(live, key=lambda u: (scores[u], u))
+        nbrs = sorted(live[v])
+        bags.append(tuple(sorted([v] + nbrs)))
+        elim_index[v] = step
+        dirty: set[int] = set(nbrs)
+        for i, a in enumerate(nbrs):
+            for b in nbrs[i + 1 :]:
+                if b not in live[a]:
+                    live[a].add(b)
+                    live[b].add(a)
+                    if heuristic == "min_fill":
+                        dirty.update(live[a] & live[b])
+        for u in nbrs:
+            live[u].discard(v)
+        del live[v]
+        del scores[v]
+        dirty.discard(v)
+        for u in dirty & live.keys():
+            scores[u] = fill_score(u) if heuristic == "min_fill" else len(live[u])
+    edges = []
+    for i, bag in enumerate(bags):
+        later = [u for u in bag if elim_index[u] > i]
+        if later:
+            parent = min(later, key=lambda u: elim_index[u])
+            edges.append((i, elim_index[parent]))
+        elif i + 1 < n:
+            edges.append((i, i + 1))
+    return TreeDecomposition(tuple(bags), tuple(edges))

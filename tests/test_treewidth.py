@@ -367,3 +367,45 @@ def test_answers_do_not_depend_on_player_labels():
             relabeled = relabel_game(game, rng)
             for algo in algos:
                 assert _answers(relabeled, algo) == expected
+
+
+def _pinned_small_decomposition(game):
+    td = heuristic_decomposition(game.graph, "min_degree")
+    ntd = to_nice(td, game.graph, root_bag=6)
+    assert "join" in ntd.kinds
+    return ntd
+
+
+def test_witnesses_are_pinned():
+    """Profiles and values on two inputs with joins: a width-2 hub game on
+    min-fill, and a small game on a given nice decomposition rooted at bag
+    6.  Another tie-break in the sweep or the replay moves a profile here,
+    while every oracle test would still pass."""
+    big = gen_random_game(GameSpec("bounded_tw", n=40, width=2, seed=7))
+    small = gen_random_game(GameSpec("bounded_tw", n=12, width=2, seed=7, cost_mode="unit"))
+    cases = [
+        (
+            big,
+            None,
+            (3, 6, 8, 9, 10, 12, 16, 17, 20, 21, 23, 27, 33),
+            (Fraction(365, 2), (0, 1, 2, 3, 4, 6, 7, 8, 9, 10, 11, 12, 13, 16, 17, 18,
+                                20, 21, 23, 24, 27, 28, 30, 33, 35, 36, 37, 38)),
+            (Fraction(3, 4), (0, 3, 12, 18, 19, 20)),
+        ),
+        (
+            small,
+            _pinned_small_decomposition(small),
+            (1, 3, 6, 9, 11),
+            (Fraction(103, 2), tuple(range(12))),
+            (Fraction(2), (0, 2, 3, 7)),
+        ),
+    ]
+    for game, decomposition, psne, best_usw, best_esw in cases:
+        assert solve_psne_treewidth(game, decomposition).profile.investing == frozenset(psne)
+        for solve_welfare, (value, profile) in (
+            (solve_usw_treewidth, best_usw),
+            (solve_esw_treewidth, best_esw),
+        ):
+            report = solve_welfare(game, decomposition)
+            assert report.value == value
+            assert report.profile.investing == frozenset(profile)
