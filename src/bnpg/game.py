@@ -5,11 +5,13 @@ abstain.  A player's payoff is an externality function of the number of
 investors in its *closed* neighborhood, minus the cost if it invests itself.
 
 The API is exact rationals: every quantity taken or returned here is a
-`fractions.Fraction`, and nothing ever passes through floats.  A `Game`
-scales itself once, when it is built: it multiplies every value and cost by
-the lcm D of their denominators and keeps those ints next to the Fractions.
-The solvers and the oracle run on the ints and divide by D only in the value
-they report.
+`fractions.Fraction`, and nothing ever passes through floats.  Inside, a
+`Game` is ints: each value and cost multiplied by the lcm D of their
+reduced denominators.  The solvers, the oracle and the payoff and welfare
+evaluators run on those ints and divide by D only in the value they return.
+The Fractions of a game are a view derived from the ints, built on first
+read; the instance parser reads every number token straight into a
+(numerator, denominator) int pair and builds none.
 """
 
 from __future__ import annotations
@@ -18,40 +20,54 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 Rational = Fraction | int | str
+Pair = tuple[int, int]
 
 
 # An integer, a decimal a.b or a ratio p/q, in ASCII digits.  `Fraction()`
 # alone would also take exponents, so a 9-byte "1e1000000" would become a
 # 3.3-million-bit integer.  The groups are the sign, the integer digits, and
-# the decimals or the denominator; `as_fraction` builds the value from them.
+# the decimals or the denominator; `read_token` builds the value from them.
 _RATIONAL_TOKEN = re.compile(r"([+-]?)([0-9]+)(?:\.([0-9]+)|/([0-9]+))?")
 
 
+def read_token(token: str) -> Pair:
+    """The reduced, signed (numerator, denominator) pair of an exact string:
+    an integer ("3"), a decimal ("1.5") or a ratio ("3/4"), in ASCII digits.
+    Any other string, or a zero denominator, raises ValueError."""
+    if token.isascii() and token.isdigit():
+        return int(token), 1
+    match = _RATIONAL_TOKEN.fullmatch(token)
+    if match:
+        sign, digits, decimals, ratio = match.groups()
+        numerator, denominator = int(digits), 1
+        if decimals is not None:
+            denominator = 10 ** len(decimals)
+            numerator = numerator * denominator + int(decimals)
+        elif ratio is not None:
+            denominator = int(ratio)
+        if denominator:
+            common = math.gcd(numerator, denominator)
+            numerator //= common
+            return (-numerator if sign == "-" else numerator), denominator // common
+    raise ValueError(f"not an exact rational: {token!r}")
+
+
+def _pair(value: Rational) -> Pair:
+    if isinstance(value, str):
+        return read_token(value)
+    if isinstance(value, (int, Fraction)):
+        return value.numerator, value.denominator
+    raise TypeError(f"not an exact rational: {value!r}")
+
+
 def as_fraction(value: Rational) -> Fraction:
-    """Coerce ints and exact strings: integers ("3"), decimals ("1.5") or
-    ratios ("3/4"), in ASCII digits.  Any other string, or a zero
-    denominator, raises ValueError."""
+    """Coerce ints and exact strings (see `read_token`) to a Fraction."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        match = _RATIONAL_TOKEN.fullmatch(value)
-        if match:
-            sign, digits, decimals, ratio = match.groups()
-            numerator, denominator = int(digits), 1
-            if decimals is not None:
-                denominator = 10 ** len(decimals)
-                numerator = numerator * denominator + int(decimals)
-            elif ratio is not None:
-                denominator = int(ratio)
-            if denominator:
-                return Fraction(-numerator if sign == "-" else numerator, denominator)
-        raise ValueError(f"not an exact rational: {value!r}")
-    raise TypeError(f"not an exact rational: {value!r}")
+    return Fraction(*_pair(value))
 
 
 @dataclass(frozen=True)
@@ -127,58 +143,66 @@ class Graph:
         return tuple(out)
 
 
-@dataclass(frozen=True)
+def _typed(value, v: int, what: str) -> Pair:
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"player {v}: {what} {value!r} is not an int or a Fraction")
+    return value.numerator, value.denominator
+
+
 class Game:
     """A BNPG instance: graph + per-player externality table + cost.
 
     `externality[v]` has exactly degree(v)+2 entries, indexed by the number of
     investors in v's closed neighborhood (0 .. degree+1).  Entries and costs
-    are nonnegative ints or Fractions.
+    are nonnegative exact rationals.
 
-    Construction scales the game once: `scale` is D, the lcm of every
-    denominator, `scaled_ext[v][k]` is g_v(k)·D and `scaled_cost[v]` is
-    c(v)·D.  Multiplying by a positive constant keeps every sum, minimum and
+    The state is ints: `scale` is D, the lcm of every reduced denominator,
+    `scaled_ext[v][k]` is g_v(k)·D and `scaled_cost[v]` is c(v)·D.
+    Multiplying by a positive constant keeps every sum, minimum and
     comparison, so the solvers run on these ints and report
     `Fraction(best, scale)`.  Many coprime denominators make D, and every
-    int, that much longer.  `==`, `hash` and `repr` ignore the derived fields.
+    int, that much longer.
+
+    `externality` and `cost` are a derived view: the values a game was
+    constructed from, or, for a game built from int pairs (`from_pairs`,
+    `build`, the instance parser), `Fraction(x, scale)` for each int, built
+    on first read.  `==`, `hash` and `repr` mean the graph and these exact
+    values; `scale` and the scaled ints take no part in them.  A game is
+    immutable.
     """
 
-    graph: Graph
-    externality: tuple[tuple[Fraction, ...], ...]
-    cost: tuple[Fraction, ...]
-    scale: int = field(init=False, repr=False, compare=False)
-    scaled_ext: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    scaled_cost: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("graph", "scale", "scaled_ext", "scaled_cost", "_values")
 
-    def __post_init__(self) -> None:
-        n = self.graph.player_count
-        if len(self.externality) != n or len(self.cost) != n:
-            raise ValueError("externality/cost length must equal player count")
-        denominators: set[int] = set()
-        for v in range(n):
-            table = self.externality[v]
-            expected = self.graph.degree(v) + 2
-            if len(table) != expected:
-                raise ValueError(
-                    f"player {v}: externality table has {len(table)} entries, "
-                    f"needs degree+2 = {expected}"
-                )
-            for what, values in (("externality value", table), ("cost", (self.cost[v],))):
-                for x in values:
-                    if not isinstance(x, (int, Fraction)):
-                        raise TypeError(f"player {v}: {what} {x!r} is not an int or a Fraction")
-                    if x.numerator < 0:
-                        raise ValueError(f"player {v}: negative {what}")
-                    denominators.add(x.denominator)
-        scale = math.lcm(*denominators)
-        factor = {d: scale // d for d in denominators}
-        ext = tuple(
-            tuple(x.numerator * factor[x.denominator] for x in table) for table in self.externality
+    graph: Graph
+    scale: int
+    scaled_ext: tuple[tuple[int, ...], ...]
+    scaled_cost: tuple[int, ...]
+
+    def __init__(
+        self,
+        graph: Graph,
+        externality: Iterable[Iterable[Fraction | int]],
+        cost: Iterable[Fraction | int],
+    ) -> None:
+        """From ints and Fractions; anything else raises TypeError."""
+        tables = tuple(tuple(t) for t in externality)
+        costs = tuple(cost)
+        self._scale(
+            graph,
+            [[_typed(x, v, "externality value") for x in t] for v, t in enumerate(tables)],
+            [_typed(c, v, "cost") for v, c in enumerate(costs)],
         )
-        cost = tuple(c.numerator * factor[c.denominator] for c in self.cost)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "scaled_ext", ext)
-        object.__setattr__(self, "scaled_cost", cost)
+        object.__setattr__(self, "_values", (tables, costs))
+
+    @classmethod
+    def from_pairs(
+        cls, graph: Graph, externality: Sequence[Sequence[Pair]], cost: Sequence[Pair]
+    ) -> Game:
+        """From reduced (numerator, denominator) int pairs, as `read_token`
+        returns them; the Fraction view waits for its first read."""
+        game = cls.__new__(cls)
+        game._scale(graph, externality, cost)
+        return game
 
     @classmethod
     def build(
@@ -187,14 +211,82 @@ class Game:
         externality: Iterable[Iterable[Rational]],
         cost: Iterable[Rational],
     ) -> Game:
-        """Construct with coercion of ints / exact strings to Fraction."""
-        tables = tuple(tuple(as_fraction(x) for x in t) for t in externality)
-        costs = tuple(as_fraction(c) for c in cost)
-        return cls(graph, tables, costs)
+        """Construct from ints, Fractions and exact strings (`read_token`)."""
+        return cls.from_pairs(
+            graph, [[_pair(x) for x in t] for t in externality], [_pair(c) for c in cost]
+        )
+
+    def _scale(
+        self, graph: Graph, externality: Sequence[Sequence[Pair]], cost: Sequence[Pair]
+    ) -> None:
+        # The one place D is built: every constructor ends here.
+        n = graph.player_count
+        if len(externality) != n or len(cost) != n:
+            raise ValueError("externality/cost length must equal player count")
+        denominators: set[int] = set()
+        for v in range(n):
+            table = externality[v]
+            expected = graph.degree(v) + 2
+            if len(table) != expected:
+                raise ValueError(
+                    f"player {v}: externality table has {len(table)} entries, "
+                    f"needs degree+2 = {expected}"
+                )
+            for numerator, denominator in table:
+                if numerator < 0:
+                    raise ValueError(f"player {v}: negative externality value")
+                denominators.add(denominator)
+            numerator, denominator = cost[v]
+            if numerator < 0:
+                raise ValueError(f"player {v}: negative cost")
+            denominators.add(denominator)
+        scale = math.lcm(*denominators)
+        factor = {d: scale // d for d in denominators}
+        setattr_ = object.__setattr__
+        setattr_(self, "graph", graph)
+        setattr_(self, "scale", scale)
+        setattr_(self, "scaled_ext", tuple(tuple(x * factor[d] for x, d in t) for t in externality))
+        setattr_(self, "scaled_cost", tuple(x * factor[d] for x, d in cost))
+        setattr_(self, "_values", None)
+
+    def _exact(self) -> tuple[tuple[tuple[Fraction | int, ...], ...], tuple[Fraction | int, ...]]:
+        if self._values is None:
+            scale = self.scale
+            values = (
+                tuple(tuple(Fraction(x, scale) for x in t) for t in self.scaled_ext),
+                tuple(Fraction(c, scale) for c in self.scaled_cost),
+            )
+            object.__setattr__(self, "_values", values)
+        return self._values
+
+    @property
+    def externality(self) -> tuple[tuple[Fraction | int, ...], ...]:
+        return self._exact()[0]
+
+    @property
+    def cost(self) -> tuple[Fraction | int, ...]:
+        return self._exact()[1]
 
     @property
     def player_count(self) -> int:
         return self.graph.player_count
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Game):
+            return NotImplemented
+        return self.graph == other.graph and self._exact() == other._exact()
+
+    def __hash__(self) -> int:
+        return hash((self.graph, self._exact()))
+
+    def __repr__(self) -> str:
+        return f"Game(graph={self.graph!r}, externality={self.externality!r}, cost={self.cost!r})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}: a Game is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}: a Game is immutable")
 
 
 @dataclass(frozen=True)
@@ -232,21 +324,26 @@ class Profile:
                 raise IndexError(f"profile mentions player {v}, out of range")
 
 
+def _scaled_payoff(game: Game, profile: Profile, v: int) -> int:
+    # Player v's payoff times D.
+    if not (0 <= v < game.player_count):
+        raise IndexError(f"player {v} out of range")
+    value = game.scaled_ext[v][profile.closed_count(game.graph, v)]
+    if v in profile:
+        value -= game.scaled_cost[v]
+    return value
+
+
 def payoff(game: Game, profile: Profile, v: int) -> Fraction:
     """Player v's utility: externality of its closed investor count, minus
     its cost when investing."""
-    if not (0 <= v < game.player_count):
-        raise IndexError(f"player {v} out of range")
-    count = profile.closed_count(game.graph, v)
-    value = game.externality[v][count]
-    if v in profile:
-        value -= game.cost[v]
-    return value
+    return Fraction(_scaled_payoff(game, profile, v), game.scale)
 
 
 def deviation_gain(game: Game, profile: Profile, v: int) -> Fraction:
     """Utility change for v if it unilaterally flips its action."""
-    return payoff(game, profile.flip(v), v) - payoff(game, profile, v)
+    flipped = _scaled_payoff(game, profile.flip(v), v)
+    return Fraction(flipped - _scaled_payoff(game, profile, v), game.scale)
 
 
 def is_stable(game: Game, v: int, invests: bool, count: int) -> bool:
@@ -290,7 +387,8 @@ def is_psne(game: Game, profile: Profile) -> bool:
 def usw(game: Game, profile: Profile) -> Fraction:
     """Utilitarian social welfare: sum of all payoffs (0 for no players)."""
     profile.validate_for(game)
-    return sum((payoff(game, profile, v) for v in range(game.player_count)), Fraction(0))
+    total = sum(_scaled_payoff(game, profile, v) for v in range(game.player_count))
+    return Fraction(total, game.scale)
 
 
 def esw(game: Game, profile: Profile) -> Fraction:
@@ -298,7 +396,8 @@ def esw(game: Game, profile: Profile) -> Fraction:
     if game.player_count == 0:
         raise ValueError("egalitarian welfare is undefined for a zero-player game")
     profile.validate_for(game)
-    return min(payoff(game, profile, v) for v in range(game.player_count))
+    lowest = min(_scaled_payoff(game, profile, v) for v in range(game.player_count))
+    return Fraction(lowest, game.scale)
 
 
 def stability_rows(game: Game) -> list:

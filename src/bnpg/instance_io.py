@@ -19,10 +19,12 @@ exactly.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
-from .game import Game, Graph, as_fraction
+from .game import Game, Graph, Pair, read_token
 
 
 class ParseError(ValueError):
@@ -34,14 +36,14 @@ class ParseError(ValueError):
         self.line = line
 
 
-def _rational(token: str, line: int, what: str) -> Fraction:
+def _rational(token: str, line: int, what: str) -> Pair:
     try:
-        value = as_fraction(token)
+        pair = read_token(token)
     except ValueError:
         raise ParseError(line, f"{what} is not an exact rational: {token!r}") from None
-    if value.numerator < 0:
+    if pair[0] < 0:
         raise ParseError(line, f"{what} must be nonnegative, got {token}")
-    return value
+    return pair
 
 
 def _int(token: str, line: int, what: str) -> int:
@@ -53,13 +55,19 @@ def _int(token: str, line: int, what: str) -> int:
 
 def _significant_lines(text: str):
     for idx, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            yield idx, line.split()
+        parts = raw.split()
+        if parts and parts[0][0] != "#":
+            yield idx, parts
 
 
 def parse_instance(text: str) -> Game:
-    """Parse the canonical instance format into a Game."""
+    """Parse the canonical instance format into a Game.
+
+    Every number token goes straight to an int pair (`read_token`), and
+    `Game.from_pairs` scales them; no Fraction is built.  The checks for
+    whole players run before any per-player structure exists, so the work
+    is bounded by the size of the text, not by the declared player count.
+    """
     lines = _significant_lines(text)
     try:
         idx, head = next(lines)
@@ -68,94 +76,88 @@ def parse_instance(text: str) -> Game:
     if head != ["bnpg", "1"]:
         raise ParseError(idx, f"unsupported header {' '.join(head)!r}, expected 'bnpg 1'")
 
-    n: int | None = None
-    last_idx = idx
-    edges: set[tuple[int, int]] = set()
-    costs: dict[int, Fraction] = {}
-    # player -> {k: (value, line)}, each in the order of the input lines
-    gtab: dict[int, dict[int, tuple[Fraction, int]]] = {}
-
-    def need_player(v: int, idx: int) -> None:
-        assert n is not None
-        if not (0 <= v < n):
-            raise ParseError(idx, f"player {v} out of range [0, {n})")
-
     for idx, parts in lines:
-        last_idx = idx
-        kind, args = parts[0], parts[1:]
-        if kind == "n":
-            if n is not None:
-                raise ParseError(idx, "duplicate player-count line")
-            if len(args) != 1:
-                raise ParseError(idx, "expected: n <count>")
-            n = _int(args[0], idx, "player count")
-            if n < 0:
-                raise ParseError(idx, "player count must be >= 0")
-            continue
-        if n is None:
-            raise ParseError(idx, f"'{kind}' line before the player count")
-        if kind == "e":
-            if len(args) != 2:
+        if parts[0] != "n":
+            raise ParseError(idx, f"'{parts[0]}' line before the player count")
+        if len(parts) != 2:
+            raise ParseError(idx, "expected: n <count>")
+        n = _int(parts[1], idx, "player count")
+        if n < 0:
+            raise ParseError(idx, "player count must be >= 0")
+        break
+    else:
+        raise ParseError(idx, "missing player count line")
+
+    edges: set[tuple[int, int]] = set()
+    costs: dict[int, Pair] = {}
+    # player -> {k: (value, line)}, each in the order of the input lines
+    gtab: dict[int, dict[int, tuple[Pair, int]]] = {}
+    for idx, parts in lines:
+        kind = parts[0]
+        if kind == "g":
+            if len(parts) != 4:
+                raise ParseError(idx, "expected: g <v> <k> <value>")
+            v = _int(parts[1], idx, "player")
+            k = _int(parts[2], idx, "externality index")
+            if not 0 <= v < n:
+                raise ParseError(idx, f"player {v} out of range [0, {n})")
+            if k < 0:
+                raise ParseError(idx, "externality index must be >= 0")
+            row = gtab.setdefault(v, {})
+            if k in row:
+                raise ParseError(idx, f"duplicate externality entry g({v}, {k})")
+            row[k] = (_rational(parts[3], idx, "externality value"), idx)
+        elif kind == "c":
+            if len(parts) != 3:
+                raise ParseError(idx, "expected: c <v> <cost>")
+            v = _int(parts[1], idx, "player")
+            if not 0 <= v < n:
+                raise ParseError(idx, f"player {v} out of range [0, {n})")
+            if v in costs:
+                raise ParseError(idx, f"duplicate cost for player {v}")
+            costs[v] = _rational(parts[2], idx, "cost")
+        elif kind == "e":
+            if len(parts) != 3:
                 raise ParseError(idx, "expected: e <u> <v>")
-            u, v = (_int(a, idx, "endpoint") for a in args)
-            need_player(u, idx)
-            need_player(v, idx)
+            u, v = (_int(a, idx, "endpoint") for a in parts[1:])
+            for w in (u, v):
+                if not 0 <= w < n:
+                    raise ParseError(idx, f"player {w} out of range [0, {n})")
             if u == v:
                 raise ParseError(idx, f"self-loop at {u}")
             key = (u, v) if u < v else (v, u)
             if key in edges:
                 raise ParseError(idx, f"duplicate edge ({key[0]}, {key[1]})")
             edges.add(key)
-        elif kind == "c":
-            if len(args) != 2:
-                raise ParseError(idx, "expected: c <v> <cost>")
-            v = _int(args[0], idx, "player")
-            need_player(v, idx)
-            if v in costs:
-                raise ParseError(idx, f"duplicate cost for player {v}")
-            costs[v] = _rational(args[1], idx, "cost")
-        elif kind == "g":
-            if len(args) != 3:
-                raise ParseError(idx, "expected: g <v> <k> <value>")
-            v = _int(args[0], idx, "player")
-            k = _int(args[1], idx, "externality index")
-            need_player(v, idx)
-            if k < 0:
-                raise ParseError(idx, "externality index must be >= 0")
-            row = gtab.setdefault(v, {})
-            if k in row:
-                raise ParseError(idx, f"duplicate externality entry g({v}, {k})")
-            row[k] = (_rational(args[2], idx, "externality value"), idx)
+        elif kind == "n":
+            raise ParseError(idx, "duplicate player-count line")
         else:
             raise ParseError(idx, f"unknown directive {kind!r}")
 
-    if n is None:
-        raise ParseError(last_idx, "missing player count line")
-
-    graph = Graph(n, frozenset(edges))
+    # Players in order, before any structure of size n: the loop stops at
+    # the first player without a cost, at index len(costs) at the latest.
+    degree = Counter(chain.from_iterable(edges))
     tables = []
     for v in range(n):
-        width = graph.degree(v) + 2
+        width = degree[v] + 2
         entries = gtab.get(v, {})
-        for k, (_, line) in entries.items():
-            if k >= width:
-                raise ParseError(
-                    line,
-                    f"externality index {k} out of range for player {v} "
-                    f"(degree {graph.degree(v)}, max index {width - 1})",
-                )
-        row = []
-        for k in range(width):
-            if k not in entries:
-                raise ParseError(
-                    None,
-                    f"incomplete externality table for player {v}: missing g({v}, {k})",
-                )
-            row.append(entries[k][0])
-        tables.append(tuple(row))
+        if max(entries, default=-1) >= width:
+            k, line = next((k, line) for k, (_, line) in entries.items() if k >= width)
+            raise ParseError(
+                line,
+                f"externality index {k} out of range for player {v} "
+                f"(degree {width - 2}, max index {width - 1})",
+            )
+        if len(entries) < width:
+            k = next(k for k in range(width) if k not in entries)
+            raise ParseError(
+                None, f"incomplete externality table for player {v}: missing g({v}, {k})"
+            )
+        tables.append([entries[k][0] for k in range(width)])
         if v not in costs:
             raise ParseError(None, f"missing cost for player {v}")
-    return Game(graph, tuple(tables), tuple(costs[v] for v in range(n)))
+    graph = Graph(n, frozenset(edges))
+    return Game.from_pairs(graph, tables, [costs[v] for v in range(n)])
 
 
 def format_rational(value: Fraction) -> str:

@@ -196,6 +196,16 @@ def test_game_scales_once_and_keeps_the_ints_out_of_eq_hash_and_repr():
     assert parse_instance(serialize_instance(game)) == game
 
 
+def test_game_is_immutable():
+    game = best_shot_game(path_graph(2))
+    with pytest.raises(AttributeError):
+        game.scale = 2
+    with pytest.raises(AttributeError):
+        game.externality = ()
+    with pytest.raises(AttributeError):
+        del game.graph
+
+
 # ---------------------------------------------------------------------------
 # Payoffs and deviation
 # ---------------------------------------------------------------------------
@@ -354,6 +364,32 @@ def test_esw_undefined_for_zero_players():
     game = Game.build(Graph.from_edges(0, []), [], [])
     with pytest.raises(ValueError):
         esw(game, Profile.of())
+
+
+def test_evaluators_of_a_parsed_game_build_only_their_answers(monkeypatch):
+    rng = random.Random(214)
+    game = parse_instance(serialize_instance(coprime_game(gnp_graph(6, 0.5, rng), rng)))
+    profile = Profile.of(0, 2, 3)
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    answers = [payoff(game, profile, v) for v in range(6)]
+    answers += [deviation_gain(game, profile, v) for v in range(6)]
+    answers += [usw(game, profile), esw(game, profile)]
+    # one Fraction per answer: no Fraction view of the game is built
+    assert len(built) == len(answers) == 14
+    monkeypatch.undo()
+    pays = [
+        game.externality[v][profile.closed_count(game.graph, v)] - (game.cost[v] if v in profile else 0)
+        for v in range(6)
+    ]
+    assert answers[:6] == pays
+    assert answers[12:] == [sum(pays), min(pays)]
 
 
 @given(games_with_profile())

@@ -1,6 +1,8 @@
 """Text formats (instances, profiles, graphs) and the seeded generator."""
 
+import contextlib
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -21,7 +23,7 @@ from bnpg.instance_io import (
     serialize_instance,
 )
 
-from helpers import gnp_graph, random_game
+from helpers import coprime_game, gnp_graph, random_game
 
 
 SAMPLE = """# a 3-path with rational data
@@ -154,6 +156,92 @@ def test_whole_file_errors_have_no_line():
     assert err.value.line is None
     with pytest.raises(ParseError, match="missing cost for player 0"):
         parse_instance("bnpg 1\nn 1\ng 0 0 0\ng 0 1 0\n")
+
+
+@contextlib.contextmanager
+def _address_space_cap(extra: int):
+    """Caps this process's address space at its current size plus `extra`
+    bytes, so that a parser which allocates per declared player fails with
+    MemoryError instead of taking the host's memory."""
+    try:
+        import resource
+
+        with open("/proc/self/statm") as statm:
+            size = int(statm.read().split()[0]) * resource.getpagesize()
+    except (ImportError, OSError):
+        yield
+        return
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = size + extra if soft == resource.RLIM_INFINITY else min(size + extra, soft)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+def test_a_declared_player_count_costs_nothing_before_the_checks():
+    # 20 bytes declaring 10^8 players: the first missing entry is found
+    # before anything of size n is built
+    start = time.perf_counter()
+    with _address_space_cap(1 << 30), pytest.raises(ParseError) as err:
+        parse_instance("bnpg 1\nn 100000000\n")
+    assert time.perf_counter() - start < 1
+    assert err.value.line is None
+    assert str(err.value) == "incomplete externality table for player 0: missing g(0, 0)"
+
+
+def _assert_same_core(parsed: Game, game: Game) -> None:
+    assert parsed == game and hash(parsed) == hash(game)
+    assert parsed.scale == game.scale
+    assert parsed.scaled_ext == game.scaled_ext
+    assert parsed.scaled_cost == game.scaled_cost
+
+
+@pytest.mark.parametrize("draw", [random_game, coprime_game])
+def test_parsed_games_have_the_int_core_of_their_fractions(draw):
+    rng = random.Random(214)
+    for _ in range(30):
+        game = draw(gnp_graph(rng.randrange(0, 8), 0.5, rng), rng)
+        parsed = parse_instance(serialize_instance(game))
+        _assert_same_core(parsed, game)
+        _assert_same_core(parsed, Game(game.graph, game.externality, game.cost))
+
+
+@pytest.mark.parametrize("token", ["2/4", "0.50", "-0/7", "+3", "10/5"])
+def test_tokens_scale_as_their_fractions(token):
+    parsed = parse_instance(f"bnpg 1\nn 1\nc 0 {token}\ng 0 0 {token}\ng 0 1 1/3\n")
+    value = Fraction(token)
+    _assert_same_core(parsed, Game(Graph(1, frozenset()), ((value, Fraction(1, 3)),), (value,)))
+
+
+@pytest.mark.parametrize("players", [None, 600])
+def test_parsing_builds_no_fraction(players, monkeypatch):
+    if players is None:
+        text = SAMPLE
+    else:
+        text = serialize_instance(gen_random_game(GameSpec("caterpillar", n=players, seed=3)))
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    game = parse_instance(text)
+    assert built == []
+    monkeypatch.undo()
+    # the Fraction view, built on first read, holds each token's value
+    for line in text.splitlines():
+        parts = line.split()
+        if parts and parts[0] == "g":
+            value = game.externality[int(parts[1])][int(parts[2])]
+        elif parts and parts[0] == "c":
+            value = game.cost[int(parts[1])]
+        else:
+            continue
+        assert isinstance(value, Fraction) and value == Fraction(parts[-1])
 
 
 def test_comments_and_blank_lines_are_ignored():
