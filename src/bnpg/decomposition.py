@@ -491,9 +491,11 @@ def read_pace(text: str) -> tuple[TreeDecomposition, int]:
         edge_lines.append((idx, u - 1, v - 1))
     if header is None:
         raise ParseError(None, "missing 's td' header line")
-    missing = [b for b in range(1, header[0] + 1) if b not in bag_lines]
-    if missing:
-        raise ParseError(None, f"bag {missing[0]} was declared but never listed")
+    if len(bag_lines) < header[0]:
+        # the ids listed are distinct and in range, so one of the first
+        # len + 1 is missing: the search follows the file, not the header
+        missing = next(b for b in range(1, len(bag_lines) + 2) if b not in bag_lines)
+        raise ParseError(None, f"bag {missing} was declared but never listed")
     bags = tuple(bag_lines[b][1] for b in range(1, header[0] + 1))
     try:
         td = TreeDecomposition(bags, tuple((u, v) for _, u, v in edge_lines))

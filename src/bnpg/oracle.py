@@ -2,7 +2,11 @@
 
 Deliberately obvious exhaustive enumeration over all 2^n profiles (bitmask
 order, bit i = player i), used as the ground truth the polynomial solvers are
-validated against.  No pruning.
+validated against.  The one shortcut is in `max_esw`: it stops scoring a
+profile once some payoff is at or below the best minimum found so far.  Such
+a profile's minimum cannot strictly beat the incumbent, and only a strict
+improvement replaces it, so the value, the witness and the smallest-bitmask
+tie-break are those of the full scan.  Every profile is still visited.
 """
 
 from __future__ import annotations
@@ -47,14 +51,15 @@ def _closed_masks(graph: Graph) -> list[int]:
     return masks
 
 
-def _deadline(limits: OracleLimits) -> float | None:
-    return None if limits.time_budget is None else time.monotonic() + limits.time_budget
-
-
-def _check_deadline(mask: int, deadline: float | None) -> None:
-    if deadline is not None and mask % _TIME_CHECK_STRIDE == 0:
-        if time.monotonic() > deadline:
+def _strides(n: int, limits: OracleLimits, start: int = 0) -> Iterator[range]:
+    """The masks `start` .. 2^n - 1 in ascending order, as ranges cut at the
+    multiples of `_TIME_CHECK_STRIDE`.  The time budget is checked before
+    each range that begins at such a multiple: at masks 0, 4096, ..."""
+    deadline = None if limits.time_budget is None else time.monotonic() + limits.time_budget
+    for low in range(0, 1 << n, _TIME_CHECK_STRIDE):
+        if deadline is not None and low >= start and time.monotonic() > deadline:
             raise LimitExceeded("oracle time budget exhausted")
+        yield range(max(low, start), min(low + _TIME_CHECK_STRIDE, 1 << n))
 
 
 def _to_profile(mask: int, n: int) -> Profile:
@@ -64,26 +69,25 @@ def _to_profile(mask: int, n: int) -> Profile:
 def _psne_profiles(game: Game, limits: OracleLimits) -> Iterator[Profile]:
     """Every pure Nash equilibrium, lazily, in ascending bitmask order."""
     n = _guard(game.player_count, limits)
-    closed = _closed_masks(game.graph)
-    # Stability depends only on (invests, closed investor count): tabulate it.
-    ok_invest: list[list[bool]] = []
-    ok_abstain: list[list[bool]] = []
-    for v in range(n):
-        top = game.graph.degree(v) + 1
-        ok_invest.append([False] + [is_stable(game, v, True, k) for k in range(1, top + 1)])
-        ok_abstain.append([is_stable(game, v, False, k) for k in range(top)] + [True])
-    deadline = _deadline(limits)
-    for mask in range(1 << n):
-        _check_deadline(mask, deadline)
-        for v in range(n):
-            count = (mask & closed[v]).bit_count()
-            if (mask >> v) & 1:
-                if not ok_invest[v][count]:
+    # Stability depends only on (invests, closed investor count): tabulate it
+    # per player as (v, closed mask, invest row, abstain row).
+    players = []
+    for v, near in enumerate(_closed_masks(game.graph)):
+        top = near.bit_count()
+        invest = [False] + [is_stable(game, v, True, k) for k in range(1, top + 1)]
+        abstain = [is_stable(game, v, False, k) for k in range(top)] + [True]
+        players.append((v, near, invest, abstain))
+    for stride in _strides(n, limits):
+        for mask in stride:
+            for v, near, invest, abstain in players:
+                count = (mask & near).bit_count()
+                if (mask >> v) & 1:
+                    if not invest[count]:
+                        break
+                elif not abstain[count]:
                     break
-            elif not ok_abstain[v][count]:
-                break
-        else:
-            yield _to_profile(mask, n)
+            else:
+                yield _to_profile(mask, n)
 
 
 def enum_psne(game: Game, limits: OracleLimits = OracleLimits()) -> list[Profile]:
@@ -105,17 +109,16 @@ def max_usw(
     n = _guard(game.player_count, limits)
     closed = _closed_masks(game.graph)
     players = list(zip(range(n), closed, game.scaled_ext, game.scaled_cost))
-    deadline = _deadline(limits)
     best_mask, best = 0, None
-    for mask in range(1 << n):
-        _check_deadline(mask, deadline)
-        total = 0
-        for v, near, g, c in players:
-            total += g[(mask & near).bit_count()]
-            if (mask >> v) & 1:
-                total -= c
-        if best is None or total > best:
-            best_mask, best = mask, total
+    for stride in _strides(n, limits):
+        for mask in stride:
+            total = 0
+            for v, near, g, c in players:
+                total += g[(mask & near).bit_count()]
+                if (mask >> v) & 1:
+                    total -= c
+            if best is None or total > best:
+                best_mask, best = mask, total
     assert best is not None
     return _to_profile(best_mask, n), Fraction(best, game.scale)
 
@@ -129,20 +132,21 @@ def max_esw(
         raise ValueError("egalitarian welfare is undefined for a zero-player game")
     closed = _closed_masks(game.graph)
     players = list(zip(range(n), closed, game.scaled_ext, game.scaled_cost))
-    deadline = _deadline(limits)
-    best_mask, best = 0, None
-    for mask in range(1 << n):
-        _check_deadline(mask, deadline)
-        low = None
-        for v, near, g, c in players:
-            p = g[(mask & near).bit_count()]
-            if (mask >> v) & 1:
-                p -= c
-            if low is None or p < low:
-                low = p
-        if best is None or low > best:
-            best_mask, best = mask, low
-    assert best is not None
+    # Mask 0 scores g(0) for everyone; it is the first incumbent.
+    best_mask, best = 0, min(g[0] for g in game.scaled_ext)
+    for stride in _strides(n, limits):
+        for mask in stride:
+            low = None
+            for v, near, g, c in players:
+                p = g[(mask & near).bit_count()]
+                if (mask >> v) & 1:
+                    p -= c
+                if p <= best:
+                    break  # this profile's minimum cannot beat the incumbent
+                if low is None or p < low:
+                    low = p
+            else:
+                best_mask, best = mask, low
     return _to_profile(best_mask, n), Fraction(best, game.scale)
 
 
@@ -152,14 +156,13 @@ def find_3regular_induced(
     """Smallest-bitmask nonempty vertex set inducing a 3-regular subgraph."""
     n = _guard(graph.player_count, limits)
     masks = _closed_masks(graph)
-    deadline = _deadline(limits)
-    for mask in range(1, 1 << n):
-        _check_deadline(mask, deadline)
-        for v in range(n):
-            if (mask >> v) & 1 and (mask & masks[v]).bit_count() != 4:
-                break  # v itself is in the intersection, so 3 neighbors = 4
-        else:
-            return frozenset(v for v in range(n) if (mask >> v) & 1)
+    for stride in _strides(n, limits, start=1):
+        for mask in stride:
+            for v in range(n):
+                if (mask >> v) & 1 and (mask & masks[v]).bit_count() != 4:
+                    break  # v itself is in the intersection, so 3 neighbors = 4
+            else:
+                return frozenset(v for v in range(n) if (mask >> v) & 1)
     return None
 
 

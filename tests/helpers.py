@@ -2,11 +2,34 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
 from fractions import Fraction
 
 from bnpg.decomposition import TreeDecomposition
-from bnpg.game import Game, Graph
+from bnpg.game import Game, Graph, Profile
+
+
+@contextlib.contextmanager
+def address_space_cap(extra: int):
+    """Caps this process's address space at its current size plus `extra`
+    bytes, so that a parser which allocates per declared item (player, bag)
+    fails with MemoryError instead of taking the host's memory."""
+    try:
+        import resource
+
+        with open("/proc/self/statm") as statm:
+            size = int(statm.read().split()[0]) * resource.getpagesize()
+    except (ImportError, OSError):
+        yield
+        return
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = size + extra if soft == resource.RLIM_INFINITY else min(size + extra, soft)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
 def path_graph(n: int) -> Graph:
@@ -196,3 +219,31 @@ def reference_elimination(graph: Graph, heuristic: str) -> TreeDecomposition:
         elif i + 1 < n:
             edges.append((i, i + 1))
     return TreeDecomposition(tuple(bags), tuple(edges))
+
+
+def reference_max_esw(game: Game) -> tuple[Profile, Fraction]:
+    """`oracle.max_esw` as it was before the incumbent cut: every payoff of
+    every profile is scored, and a profile replaces the best only on a
+    strictly larger minimum.  Kept only as the reference the cut must equal."""
+    n = game.player_count
+    closed = []
+    for v in range(n):
+        m = 1 << v
+        for w in game.graph.neighbors(v):
+            m |= 1 << w
+        closed.append(m)
+    players = list(zip(range(n), closed, game.scaled_ext, game.scaled_cost))
+    best_mask, best = 0, None
+    for mask in range(1 << n):
+        low = None
+        for v, near, g, c in players:
+            p = g[(mask & near).bit_count()]
+            if (mask >> v) & 1:
+                p -= c
+            if low is None or p < low:
+                low = p
+        if best is None or low > best:
+            best_mask, best = mask, low
+    assert best is not None
+    investing = frozenset(v for v in range(n) if best_mask >> v & 1)
+    return Profile(investing), Fraction(best, game.scale)

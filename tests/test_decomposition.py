@@ -25,6 +25,7 @@ from helpers import (
     cycle_graph,
     gnp_graph,
     path_graph,
+    address_space_cap,
     random_tree,
     reference_elimination,
 )
@@ -336,6 +337,27 @@ def test_pace_errors(text, fragment):
     with pytest.raises(ParseError) as err:
         read_pace(text)
     assert fragment in str(err.value)
+
+
+def test_a_declared_bag_count_costs_nothing_before_the_missing_bag_is_named():
+    # 21 bytes declaring 10^8 bags, none listed: the first missing id is
+    # found without walking the declared count
+    start = time.perf_counter()
+    with address_space_cap(1 << 30), pytest.raises(ParseError) as err:
+        read_pace("s td 100000000 1 1\n")
+    assert time.perf_counter() - start < 1
+    assert err.value.line is None
+    assert str(err.value) == "bag 1 was declared but never listed"
+
+
+@pytest.mark.parametrize(
+    "listed, first_missing",
+    [((2, 3), 1), ((1, 3), 2), ((1, 2), 3), ((1, 2, 4, 5), 3)],
+)
+def test_the_smallest_missing_bag_is_named(listed, first_missing):
+    text = "s td 6 1 1\n" + "".join(f"b {b} 1\n" for b in listed)
+    with pytest.raises(ParseError, match=f"^bag {first_missing} was declared"):
+        read_pace(text)
 
 
 def test_write_pace_rejects_oversized_vertices():

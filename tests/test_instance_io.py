@@ -1,6 +1,5 @@
 """Text formats (instances, profiles, graphs) and the seeded generator."""
 
-import contextlib
 import random
 import time
 from fractions import Fraction
@@ -23,7 +22,7 @@ from bnpg.instance_io import (
     serialize_instance,
 )
 
-from helpers import coprime_game, gnp_graph, random_game
+from helpers import address_space_cap, coprime_game, gnp_graph, random_game
 
 
 SAMPLE = """# a 3-path with rational data
@@ -158,33 +157,11 @@ def test_whole_file_errors_have_no_line():
         parse_instance("bnpg 1\nn 1\ng 0 0 0\ng 0 1 0\n")
 
 
-@contextlib.contextmanager
-def _address_space_cap(extra: int):
-    """Caps this process's address space at its current size plus `extra`
-    bytes, so that a parser which allocates per declared player fails with
-    MemoryError instead of taking the host's memory."""
-    try:
-        import resource
-
-        with open("/proc/self/statm") as statm:
-            size = int(statm.read().split()[0]) * resource.getpagesize()
-    except (ImportError, OSError):
-        yield
-        return
-    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
-    cap = size + extra if soft == resource.RLIM_INFINITY else min(size + extra, soft)
-    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
-    try:
-        yield
-    finally:
-        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
-
-
 def test_a_declared_player_count_costs_nothing_before_the_checks():
     # 20 bytes declaring 10^8 players: the first missing entry is found
     # before anything of size n is built
     start = time.perf_counter()
-    with _address_space_cap(1 << 30), pytest.raises(ParseError) as err:
+    with address_space_cap(1 << 30), pytest.raises(ParseError) as err:
         parse_instance("bnpg 1\nn 100000000\n")
     assert time.perf_counter() - start < 1
     assert err.value.line is None

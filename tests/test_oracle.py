@@ -2,10 +2,12 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
+from types import SimpleNamespace
 
 import pytest
 
+from bnpg import oracle
 from bnpg.game import Game, Graph, Profile, esw, is_psne, usw
 from bnpg.oracle import (
     LimitExceeded,
@@ -28,6 +30,7 @@ from helpers import (
     path_graph,
     petersen,
     random_game,
+    reference_max_esw,
 )
 
 
@@ -126,6 +129,83 @@ def test_time_budget_is_enforced():
     game = Game.build(g, [(0, 0)] * 16, [0] * 16)
     with pytest.raises(LimitExceeded):
         enum_psne(game, OracleLimits(time_budget=0.0))
+
+
+def _eager_investors(n: int) -> Game:
+    """n isolated players who each strictly prefer to invest.  The only
+    equilibrium is the last mask and the graph has no 3-regular subgraph, so
+    every enumeration visits all 2^n masks."""
+    return Game.build(Graph.from_edges(n, []), [(0, 2)] * n, [1] * n)
+
+
+ENUMERATIONS = {
+    "enum_psne": enum_psne,
+    "first_psne": first_psne,
+    "max_usw": max_usw,
+    "max_esw": max_esw,
+    "find_3regular_induced": lambda game, limits: find_3regular_induced(game.graph, limits),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENUMERATIONS))
+def test_every_enumeration_honours_a_zero_time_budget(name):
+    with pytest.raises(LimitExceeded, match="time budget"):
+        ENUMERATIONS[name](_eager_investors(16), OracleLimits(time_budget=0.0))
+
+
+@pytest.mark.parametrize("name", sorted(ENUMERATIONS))
+def test_the_time_budget_is_checked_at_every_stride(name, monkeypatch):
+    # A clock that reads 1, 2, 3, ... per call: the deadline is 1 + 2.5.  The
+    # checks come at masks 0, 4096, 8192, ... (4096, 8192, ... for the
+    # 3-regular search, which starts at mask 1), and the third check reads 4.
+    def run(n: int) -> int:
+        reads = count(1)
+        monkeypatch.setattr(oracle, "time", SimpleNamespace(monotonic=lambda: next(reads)))
+        ENUMERATIONS[name](_eager_investors(n), OracleLimits(time_budget=2.5))
+        return next(reads) - 1
+
+    checks = 1 if name == "find_3regular_induced" else 2
+    assert run(13) == 1 + checks  # 8192 masks: no third check
+    with pytest.raises(LimitExceeded, match="time budget"):
+        run(14)
+    assert run(2) == checks  # one stride: one check, none for the 3-regular search
+
+
+def _tie_and_sign_heavy_games():
+    rng = random.Random(15)
+
+    def bits(width: int) -> tuple[int, ...]:
+        return tuple(int(rng.random() < 0.85) for _ in range(width))
+
+    for _ in range(8):
+        n = rng.randrange(8, 13)
+        graph = gnp_graph(n, rng.choice((0.2, 0.5, 0.8)), rng)
+        widths = [graph.degree(v) + 2 for v in range(n)]
+        # payoffs in {0, 1} (free investment) or {-1, 0, 1}: ties everywhere
+        yield Game.build(graph, [bits(w) for w in widths], [0] * n)
+        yield Game.build(graph, [bits(w) for w in widths], [int(rng.random() < 0.3) for _ in range(n)])
+        # costs above every g: each investor's payoff is negative, so the
+        # all-abstain profile wins
+        ext = [tuple(rng.randrange(4) for _ in range(w)) for w in widths]
+        yield Game.build(graph, ext, [rng.randrange(4, 7) for _ in range(n)])
+        # g(0) = 0 for everyone: the all-abstain profile scores 0
+        ext = [(0,) + tuple(rng.randrange(1, 3) for _ in range(w - 1)) for w in widths]
+        yield Game.build(graph, ext, [rng.randrange(2) for _ in range(n)])
+        yield Game.build(graph, [(0,) * w for w in widths], [0] * n)
+    for n in (8, 10, 12):
+        yield best_shot_game(path_graph(n))
+        yield best_shot_game(cycle_graph(n))
+
+
+def test_the_esw_cut_keeps_the_full_scans_answer_and_tie_break():
+    games = list(_tie_and_sign_heavy_games())
+    assert len(games) == 46
+    above_abstain = 0
+    for game in games:
+        profile, value = max_esw(game)
+        assert (profile, value) == reference_max_esw(game)
+        above_abstain += value > esw(game, Profile.of())
+    assert above_abstain >= 20  # most optima need investors
 
 
 def test_coprime_denominators_match_the_fraction_evaluators():
