@@ -56,12 +56,6 @@ def build_cc_graph(graph: Graph) -> CriticalCliqueGraph:
     return CriticalCliqueGraph(graph, cliques, tuple(clique_of), frozenset(cc_edges))
 
 
-def is_forest(cc: CriticalCliqueGraph) -> bool:
-    """True iff the contracted graph is acyclic (per component)."""
-    cg = cc.clique_graph()
-    return len(cg.edges) == cg.player_count - len(cg.components())
-
-
 @dataclass(frozen=True)
 class RootedForest:
     """A rooting of the critical clique forest.
@@ -113,3 +107,12 @@ def rooted_forest(cc: CriticalCliqueGraph) -> RootedForest:
         tuple(tuple(c) for c in children),
         tuple(reversed(order)),
     )
+
+
+def is_forest(cc: CriticalCliqueGraph) -> bool:
+    """True iff the contracted graph is acyclic: iff `rooted_forest` roots it."""
+    try:
+        rooted_forest(cc)
+    except ValueError:
+        return False
+    return True

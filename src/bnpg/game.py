@@ -4,14 +4,15 @@ Players sit on an undirected graph and either invest (paying their cost) or
 abstain.  A player's payoff is an externality function of the number of
 investors in its *closed* neighborhood, minus the cost if it invests itself.
 
-The API is exact rationals: every quantity taken or returned here is a
-`fractions.Fraction`, and nothing ever passes through floats.  Inside, a
-`Game` is ints: each value and cost multiplied by the lcm D of their
-reduced denominators.  The solvers, the oracle and the payoff and welfare
-evaluators run on those ints and divide by D only in the value they return.
-The Fractions of a game are a view derived from the ints, built on first
-read; the instance parser reads every number token straight into a
-(numerator, denominator) int pair and builds none.
+The API is exact rationals: a game takes ints, `fractions.Fraction`s and
+exact strings, every quantity returned here is a Fraction, and nothing ever
+passes through floats.  Inside, a `Game` is ints: each value and cost
+multiplied by the lcm D of their reduced denominators.  The solvers, the
+oracle and the payoff and welfare evaluators run on those ints and divide by
+D only in the value they return.  The Fractions of every game are a view
+derived from the ints, built on first read; the instance parser reads every
+number token straight into a (numerator, denominator) int pair and builds
+none.
 """
 
 from __future__ import annotations
@@ -53,21 +54,6 @@ def read_token(token: str) -> Pair:
             numerator //= common
             return (-numerator if sign == "-" else numerator), denominator // common
     raise ValueError(f"not an exact rational: {token!r}")
-
-
-def _pair(value: Rational) -> Pair:
-    if isinstance(value, str):
-        return read_token(value)
-    if isinstance(value, (int, Fraction)):
-        return value.numerator, value.denominator
-    raise TypeError(f"not an exact rational: {value!r}")
-
-
-def as_fraction(value: Rational) -> Fraction:
-    """Coerce ints and exact strings (see `read_token`) to a Fraction."""
-    if isinstance(value, Fraction):
-        return value
-    return Fraction(*_pair(value))
 
 
 @dataclass(frozen=True)
@@ -117,36 +103,16 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
-    def closed_degree(self, v: int) -> int:
-        return len(self._adj[v]) + 1
-
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._adj[u]
 
-    def components(self) -> tuple[tuple[int, ...], ...]:
-        """Connected components as sorted vertex tuples, ordered by minimum."""
-        seen = [False] * self.player_count
-        out: list[tuple[int, ...]] = []
-        for start in range(self.player_count):
-            if seen[start]:
-                continue
-            seen[start] = True
-            stack, comp = [start], [start]
-            while stack:
-                u = stack.pop()
-                for w in self._adj[u]:
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.append(w)
-                        stack.append(w)
-            out.append(tuple(sorted(comp)))
-        return tuple(out)
 
-
-def _typed(value, v: int, what: str) -> Pair:
-    if not isinstance(value, (int, Fraction)):
-        raise TypeError(f"player {v}: {what} {value!r} is not an int or a Fraction")
-    return value.numerator, value.denominator
+def _pair(value: Rational, v: int, what: str) -> Pair:
+    if isinstance(value, str):
+        return read_token(value)
+    if isinstance(value, (int, Fraction)):
+        return value.numerator, value.denominator
+    raise TypeError(f"player {v}: {what} {value!r} is not an int, a Fraction or a string")
 
 
 class Game:
@@ -163,10 +129,9 @@ class Game:
     `Fraction(best, scale)`.  Many coprime denominators make D, and every
     int, that much longer.
 
-    `externality` and `cost` are a derived view: the values a game was
-    constructed from, or, for a game built from int pairs (`from_pairs`,
-    `build`, the instance parser), `Fraction(x, scale)` for each int, built
-    on first read.  `==`, `hash` and `repr` mean the graph and these exact
+    `externality` and `cost` are a view derived from the ints:
+    `Fraction(x, scale)` for each, built on first read, however the game was
+    constructed.  `==`, `hash` and `repr` mean the graph and these exact
     values; `scale` and the scaled ints take no part in them.  A game is
     immutable.
     """
@@ -181,40 +146,26 @@ class Game:
     def __init__(
         self,
         graph: Graph,
-        externality: Iterable[Iterable[Fraction | int]],
-        cost: Iterable[Fraction | int],
+        externality: Iterable[Iterable[Rational]],
+        cost: Iterable[Rational],
     ) -> None:
-        """From ints and Fractions; anything else raises TypeError."""
-        tables = tuple(tuple(t) for t in externality)
-        costs = tuple(cost)
+        """From ints, Fractions and exact strings, which `read_token` reads
+        with the instance format's grammar; anything else raises TypeError."""
         self._scale(
             graph,
-            [[_typed(x, v, "externality value") for x in t] for v, t in enumerate(tables)],
-            [_typed(c, v, "cost") for v, c in enumerate(costs)],
+            [[_pair(x, v, "externality value") for x in t] for v, t in enumerate(externality)],
+            [_pair(c, v, "cost") for v, c in enumerate(cost)],
         )
-        object.__setattr__(self, "_values", (tables, costs))
 
     @classmethod
     def from_pairs(
         cls, graph: Graph, externality: Sequence[Sequence[Pair]], cost: Sequence[Pair]
     ) -> Game:
         """From reduced (numerator, denominator) int pairs, as `read_token`
-        returns them; the Fraction view waits for its first read."""
+        returns them."""
         game = cls.__new__(cls)
         game._scale(graph, externality, cost)
         return game
-
-    @classmethod
-    def build(
-        cls,
-        graph: Graph,
-        externality: Iterable[Iterable[Rational]],
-        cost: Iterable[Rational],
-    ) -> Game:
-        """Construct from ints, Fractions and exact strings (`read_token`)."""
-        return cls.from_pairs(
-            graph, [[_pair(x) for x in t] for t in externality], [_pair(c) for c in cost]
-        )
 
     def _scale(
         self, graph: Graph, externality: Sequence[Sequence[Pair]], cost: Sequence[Pair]
@@ -249,7 +200,7 @@ class Game:
         setattr_(self, "scaled_cost", tuple(x * factor[d] for x, d in cost))
         setattr_(self, "_values", None)
 
-    def _exact(self) -> tuple[tuple[tuple[Fraction | int, ...], ...], tuple[Fraction | int, ...]]:
+    def _exact(self) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[Fraction, ...]]:
         if self._values is None:
             scale = self.scale
             values = (
@@ -260,11 +211,11 @@ class Game:
         return self._values
 
     @property
-    def externality(self) -> tuple[tuple[Fraction | int, ...], ...]:
+    def externality(self) -> tuple[tuple[Fraction, ...], ...]:
         return self._exact()[0]
 
     @property
-    def cost(self) -> tuple[Fraction | int, ...]:
+    def cost(self) -> tuple[Fraction, ...]:
         return self._exact()[1]
 
     @property

@@ -28,9 +28,6 @@ class ReductionOutput:
     threshold: Fraction | None
     witness_map: dict[WitnessKey, int] = field(compare=False)
 
-    def player_of(self, key: WitnessKey) -> int:
-        return self.witness_map[key]
-
 
 def reduce_3ris(graph: Graph) -> ReductionOutput:
     """Fully homogeneous game on the input graph whose nonempty equilibria

@@ -99,7 +99,7 @@ def random_game(graph: Graph, rng: random.Random, monotone: bool = False) -> Gam
                 table.append(Fraction(rng.randrange(0, 6), 2))
         ext.append(tuple(table))
         cost.append(Fraction(rng.randrange(0, 4), rng.choice((1, 2))))
-    return Game.build(graph, ext, cost)
+    return Game(graph, ext, cost)
 
 
 def relabel_game(game: Game, rng: random.Random) -> Game:
@@ -135,7 +135,7 @@ def coprime_game(graph: Graph, rng: random.Random) -> Game:
             table.append(table[-1] + draw(12) if rng.random() < 0.7 else draw(24))
         ext.append(tuple(table))
         cost.append(draw(12))
-    return Game.build(graph, ext, cost)
+    return Game(graph, ext, cost)
 
 
 def best_shot_game(graph: Graph, cost: Fraction = Fraction(1, 2)) -> Game:
@@ -144,7 +144,17 @@ def best_shot_game(graph: Graph, cost: Fraction = Fraction(1, 2)) -> Game:
         (Fraction(0),) + (Fraction(1),) * (graph.degree(v) + 1)
         for v in range(graph.player_count)
     ]
-    return Game.build(graph, ext, [cost] * graph.player_count)
+    return Game(graph, ext, [cost] * graph.player_count)
+
+
+def nx_graph(graph: Graph):
+    """The same graph as a networkx.Graph, isolated players included."""
+    import networkx as nx
+
+    out = nx.Graph()
+    out.add_nodes_from(range(graph.player_count))
+    out.add_edges_from(graph.edges)
+    return out
 
 
 def connected_atlas(max_n: int):

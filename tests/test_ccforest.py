@@ -46,7 +46,7 @@ def _counts(value, t):
 
 def test_zero_total_forbids_investing():
     # nobody wants in at total 0, and nobody may invest there
-    game = Game.build(complete_graph(3), [(0, 0, 0, 0)] * 3, [1] * 3)
+    game = Game(complete_graph(3), [(0, 0, 0, 0)] * 3, [1] * 3)
     value, order = _rule(game, (0, 1, 2))
     assert _counts(value, 0) == [0]
     assert order[0] == []
@@ -72,7 +72,7 @@ def test_contradiction_blocks_every_count():
     # the abstainer wants in (0 >= 2-1 fails) and the investor wants out
     # at the same total, so the total is unrealizable
     g = Graph.from_edges(1, [])
-    game = Game.build(g, [(0, 2)], [3])
+    game = Game(g, [(0, 2)], [3])
     value, order = _rule(game, (0,))
     assert _counts(value, 1) == [] and order[1] is None
     assert _counts(value, 0) == [0]  # abstaining alone is stable: 0 >= 2-3
@@ -82,7 +82,7 @@ def test_witness_takes_must_invest_then_smallest_free():
     # K4 whose first feasible total is 2: every member wants in at totals 0
     # and 1; at 2, player 2 still must invest and players 0, 1, 3 are free
     want_in = (0, 2, 4, 4, 4)
-    game = Game.build(
+    game = Game(
         complete_graph(4), [want_in, want_in, (0, 1, 3, 5, 5), want_in], [1] * 4
     )
     value, order = _rule(game, (0, 1, 2, 3))
@@ -118,7 +118,7 @@ def test_best_shot_path_welfare_values():
 def test_anti_coordination_edge_has_no_equilibrium():
     # player 0 invests iff alone, player 1 invests iff player 0 does
     g = Graph.from_edges(2, [(0, 1)])
-    game = Game.build(g, [(0, 2, 0), (0, 0, 3)], [1, 1])
+    game = Game(g, [(0, 2, 0), (0, 0, 3)], [1, 1])
     assert enum_psne(game) == []
     report = solve_psne_ccforest(game)
     assert report.status == SolveStatus.NO_PSNE
@@ -128,7 +128,7 @@ def test_anti_coordination_edge_has_no_equilibrium():
 
 def test_usw_extraction_prefers_cheaper_investors():
     # all-invest... actually one investor suffices; the cheapest is player 2
-    game = Game.build(
+    game = Game(
         complete_graph(3),
         [(0, 6, 6, 6)] * 3,
         [Fraction(3), Fraction(2), Fraction(1)],
@@ -142,7 +142,7 @@ def test_esw_invests_in_the_member_with_the_largest_net_payoff():
     # one clique, so the closed total is the investor count; the optimum
     # has one investor.  By cost the pick is player 2, by index player 0,
     # but player 1 has the largest g(1) - c and only it keeps everyone at 2.
-    game = Game.build(
+    game = Game(
         complete_graph(3),
         [(0, 3, 0, 0), (0, 5, 0, 0), (0, 2, 0, 0)],
         [2, 2, 1],
@@ -164,7 +164,7 @@ def test_not_applicable_on_cycles():
 
 
 def test_zero_player_game():
-    game = Game.build(Graph.from_edges(0, []), [], [])
+    game = Game(Graph.from_edges(0, []), [], [])
     assert solve_psne_ccforest(game).profile == Profile.of()
     assert solve_usw_ccforest(game).value == 0
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, driven through main(argv)."""
 
+import hashlib
 import io
 import os
 import random
@@ -13,6 +14,7 @@ import bnpg
 from bnpg.cli import main
 from bnpg.game import Game, Graph
 from bnpg.instance_io import (
+    FAMILIES,
     GameSpec,
     gen_random_game,
     parse_instance,
@@ -220,6 +222,46 @@ def test_gen_twin_tree_multiplicities(capsys):
     )
     assert code == 0
     assert parse_instance(out).player_count == 7
+
+
+# sha256 of `bnpg gen --family F --n 12 --seed 1` (twin_tree: block sizes
+# 2,3,1,2), then of two other value modes: the serializer must print the
+# generated values byte for byte, whatever view of them the Game keeps.
+GEN_SHA256 = {
+    "path": "810831044bbdcaf58abec9e94050f64deb0c84118a82f691895b09dbcdb1a22a",
+    "cycle": "e3226321cc135941ae587be83d5575d0a70de1c3b151066253cad88ac8746309",
+    "clique": "4e5053355a94e7bacaa31b5eee6c057ec655b30aa0d6aad530d7458ecb36d563",
+    "tree": "e75713c82498e380e41a606b96d25f32dcdc07c4afde20af6a8fbef1eb829f4b",
+    "caterpillar": "36151bb4ac1b30261d4cd45eb4da7937dadf55ff4e53c64cb34dc4ec09a3190b",
+    "twin_tree": "033cbd15960212295603397969e4b1be2fb190add578b9622eb8c043ad977f6f",
+    "gnp": "b6d02f9d111cfce3aa5f45ad78aa12e38d4265b20e71e84d6583d1ff9932e561",
+    "bounded_tw": "fd5f42696a5f746b31b4dac27c36450e2cbf3f4de302326bbd90b9fd6d4e56ee",
+}
+GEN_MODE_SHA256 = [
+    (
+        ("--family", "gnp", "--g-mode", "arbitrary", "--cost-mode", "unit"),
+        "1615b74c99be23082fae95f6ffe602c021248c2f07634ca7c823334e328fec8f",
+    ),
+    (
+        ("--family", "tree", "--g-mode", "homogeneous", "--cost-mode", "zero"),
+        "0bbc415ce161a212f3160705f2896995a69053681e70d595b6657410eb3bc6ad",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "flags, digest",
+    [
+        (("--family", family) + (("--multiplicities", "2,3,1,2") if family == "twin_tree" else ()),
+         GEN_SHA256[family])
+        for family in FAMILIES
+    ]
+    + GEN_MODE_SHA256,
+)
+def test_gen_output_is_pinned(capsys, flags, digest):
+    code, out, _ = run(capsys, "gen", "--n", "12", "--seed", "1", *flags)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import random
 
+import networkx as nx
 import pytest
 
 from bnpg.critical_clique import build_cc_graph, is_forest, rooted_forest
@@ -11,7 +12,9 @@ from helpers import (
     complete_graph,
     cycle_graph,
     gnp_graph,
+    nx_graph,
     path_graph,
+    random_tree,
     star_graph,
     twin_cluster_graph,
 )
@@ -148,3 +151,30 @@ def test_clique_graph_view_matches_edges():
     quotient = cc.clique_graph()
     assert quotient.player_count == len(cc.cliques)
     assert quotient.edges == cc.edges
+
+
+def forest_check_corpus():
+    """Seeded trees, twin trees, cycles and gnp graphs, some of them
+    forests with several components and some not forests at all."""
+    rng = random.Random(11)
+    for _ in range(25):
+        n = rng.randrange(1, 12)
+        yield random_tree(n, rng)
+        yield twin_cluster_graph(n, rng)
+        yield gnp_graph(n, rng.choice((0.1, 0.2, 0.4)), rng)
+    for n in range(3, 8):
+        yield cycle_graph(n)
+
+
+def test_the_one_forest_check_agrees_with_networkx():
+    for g in forest_check_corpus():
+        cc = build_cc_graph(g)
+        quotient = nx_graph(cc.clique_graph())
+        forest = nx.is_forest(quotient)
+        assert is_forest(cc) == forest
+        if not forest:
+            with pytest.raises(ValueError, match="not a forest"):
+                rooted_forest(cc)
+            continue
+        rf = rooted_forest(cc)
+        assert len(rf.roots) == nx.number_connected_components(quotient)

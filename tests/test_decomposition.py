@@ -272,7 +272,7 @@ def test_vertex_forgotten_under_both_join_children_is_disconnected():
     )
     detail = "bags containing vertex 0 split into separate groups (bag 1 cannot reach bag 4)"
     assert validate_nice(ntd, g) == [Violation("connectivity", detail)]
-    game = Game.build(g, [(0, 0)], [1])
+    game = Game(g, [(0, 0)], [1])
     with pytest.raises(ValueError) as excinfo:
         prepare_decomposition(game, ntd)
     assert str(excinfo.value) == f"not a valid nice tree decomposition (connectivity: {detail})"

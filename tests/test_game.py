@@ -13,13 +13,13 @@ from bnpg.game import (
     Game,
     Graph,
     Profile,
-    as_fraction,
     deviation_gain,
     esw,
     is_psne,
     is_stable,
     payoff,
     payoff_levels,
+    read_token,
     stability_rows,
     usw,
 )
@@ -53,7 +53,7 @@ def games(draw, min_n=1, max_n=6):
         width = graph.degree(v) + 2
         ext.append(tuple(draw(st.lists(RATIONALS, min_size=width, max_size=width))))
     cost = [draw(RATIONALS) for _ in range(n)]
-    return Game.build(graph, ext, cost)
+    return Game(graph, ext, cost)
 
 
 @st.composite
@@ -87,20 +87,15 @@ def test_graph_rejects_duplicate_edges():
 def test_degrees_and_closed_neighborhoods():
     g = path_graph(4)
     assert [g.degree(v) for v in range(4)] == [1, 2, 2, 1]
-    assert [g.closed_degree(v) for v in range(4)] == [2, 3, 3, 2]
+    assert [len(g.closed_neighbors(v)) for v in range(4)] == [g.degree(v) + 1 for v in range(4)]
     assert g.closed_neighbors(1) == frozenset({0, 1, 2})
     assert g.neighbors(1) == frozenset({0, 2})
-
-
-def test_components_are_sorted_partitions():
-    g = Graph.from_edges(6, [(0, 1), (3, 4)])
-    assert g.components() == ((0, 1), (2,), (3, 4), (5,))
 
 
 def test_zero_player_graph_is_fine():
     g = Graph.from_edges(0, [])
     assert g.player_count == 0
-    assert g.components() == ()
+    assert g.edges == frozenset()
 
 
 # ---------------------------------------------------------------------------
@@ -111,20 +106,20 @@ def test_zero_player_graph_is_fine():
 def test_externality_table_must_cover_closed_degree_range():
     g = path_graph(2)
     with pytest.raises(ValueError):
-        Game.build(g, [(0, 1), (0, 1, 2)], [0, 0])  # player 0 needs 3 values
+        Game(g, [(0, 1), (0, 1, 2)], [0, 0])  # player 0 needs 3 values
 
 
 def test_negative_values_rejected():
     g = path_graph(2)
     with pytest.raises(ValueError):
-        Game.build(g, [(0, 1, -1), (0, 1, 2)], [0, 0])
+        Game(g, [(0, 1, -1), (0, 1, 2)], [0, 0])
     with pytest.raises(ValueError):
-        Game.build(g, [(0, 1, 2), (0, 1, 2)], [-1, 0])
+        Game(g, [(0, 1, 2), (0, 1, 2)], [-1, 0])
 
 
 def test_build_coerces_strings_and_ints():
     g = path_graph(2)
-    game = Game.build(g, [("1/2", 1, "1.5"), (0, "2", 3)], ["0.25", 1])
+    game = Game(g, [("1/2", 1, "1.5"), (0, "2", 3)], ["0.25", 1])
     assert game.externality[0] == (Fraction(1, 2), Fraction(1), Fraction(3, 2))
     assert game.cost[0] == Fraction(1, 4)
 
@@ -135,13 +130,13 @@ def test_build_coerces_strings_and_ints():
 def test_build_rejects_strings_that_are_not_exact_rationals(token):
     # the instance parser's grammar: [+-]?[0-9]+ then optionally .[0-9]+ or /[0-9]+
     with pytest.raises(ValueError, match="not an exact rational"):
-        Game.build(Graph.from_edges(1, []), [(0, 0)], [token])
+        Game(Graph.from_edges(1, []), [(0, 0)], [token])
     with pytest.raises(ValueError, match="not an exact rational"):
-        Game.build(Graph.from_edges(1, []), [(token, 0)], [0])
+        Game(Graph.from_edges(1, []), [(token, 0)], [0])
 
 
 def test_build_accepts_every_form_of_the_number_grammar():
-    game = Game.build(Graph.from_edges(1, []), [("3/4", "+2")], ["007.50"])
+    game = Game(Graph.from_edges(1, []), [("3/4", "+2")], ["007.50"])
     assert game.externality[0] == (Fraction(3, 4), Fraction(2))
     assert game.cost[0] == Fraction(15, 2)
 
@@ -152,9 +147,9 @@ def test_as_fraction_reads_every_token_of_the_grammar_as_fraction_does(token):
         expected = Fraction(token)
     except ZeroDivisionError:
         with pytest.raises(ValueError, match="not an exact rational"):
-            as_fraction(token)
+            read_token(token)
     else:
-        assert as_fraction(token) == expected
+        assert Fraction(*read_token(token)) == expected
 
 
 @pytest.mark.parametrize(
@@ -162,18 +157,16 @@ def test_as_fraction_reads_every_token_of_the_grammar_as_fraction_does(token):
     [("-0", 0), ("+0.50", Fraction(1, 2)), ("007.50", Fraction(15, 2)), ("-3/6", Fraction(-1, 2))],
 )
 def test_as_fraction_keeps_signs_and_reduces(token, value):
-    got = as_fraction(token)
-    assert isinstance(got, Fraction)
-    assert (got.numerator, got.denominator) == (value.numerator, value.denominator)
+    assert read_token(token) == (value.numerator, value.denominator)
 
 
 @pytest.mark.parametrize("token", ["1/0", "3/000", "-0/0"])
 def test_as_fraction_rejects_zero_denominators(token):
     with pytest.raises(ValueError, match="not an exact rational"):
-        as_fraction(token)
+        read_token(token)
 
 
-@pytest.mark.parametrize("bad", [0.5, "1/2"])
+@pytest.mark.parametrize("bad", [0.5, None])
 def test_game_rejects_entries_that_are_not_ints_or_fractions(bad):
     g = path_graph(2)
     with pytest.raises(TypeError, match="player 1: externality value"):
@@ -183,7 +176,7 @@ def test_game_rejects_entries_that_are_not_ints_or_fractions(bad):
 
 
 def test_game_scales_once_and_keeps_the_ints_out_of_eq_hash_and_repr():
-    game = Game.build(path_graph(2), [("1/2", 1, "3/4"), (0, "1/3", 1)], ["1/6", 0])
+    game = Game(path_graph(2), [("1/2", 1, "3/4"), (0, "1/3", 1)], ["1/6", 0])
     assert game.scale == 12
     assert game.scaled_ext == ((6, 12, 9), (0, 4, 12))
     assert game.scaled_cost == (2, 0)
@@ -194,6 +187,20 @@ def test_game_scales_once_and_keeps_the_ints_out_of_eq_hash_and_repr():
     object.__setattr__(other, "scaled_cost", (4, 0))
     assert other == game and hash(other) == hash(game)
     assert parse_instance(serialize_instance(game)) == game
+
+
+def test_a_game_from_strings_equals_the_parsed_text():
+    graph = Graph.from_edges(3, [(0, 1), (1, 2)])
+    ext = [("0", "1/2", "3/4"), ("0.5", "1", "2", "9/6"), ("1/3", "0", "7")]
+    cost = ["1/6", "0", "2.25"]
+    lines = ["bnpg 1", "n 3", "e 0 1", "e 1 2"]
+    lines += [f"c {v} {c}" for v, c in enumerate(cost)]
+    lines += [f"g {v} {k} {x}" for v, row in enumerate(ext) for k, x in enumerate(row)]
+    game, parsed = Game(graph, ext, cost), parse_instance("\n".join(lines) + "\n")
+    assert game == parsed and hash(game) == hash(parsed)
+    assert game.scale == parsed.scale == 12
+    assert game.scaled_ext == parsed.scaled_ext
+    assert game.scaled_cost == parsed.scaled_cost
 
 
 def test_game_is_immutable():
@@ -356,12 +363,12 @@ def test_welfare_on_a_triangle():
 
 
 def test_usw_of_zero_players_is_zero():
-    game = Game.build(Graph.from_edges(0, []), [], [])
+    game = Game(Graph.from_edges(0, []), [], [])
     assert usw(game, Profile.of()) == 0
 
 
 def test_esw_undefined_for_zero_players():
-    game = Game.build(Graph.from_edges(0, []), [], [])
+    game = Game(Graph.from_edges(0, []), [], [])
     with pytest.raises(ValueError):
         esw(game, Profile.of())
 

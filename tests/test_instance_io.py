@@ -4,6 +4,7 @@ import random
 import time
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -22,7 +23,7 @@ from bnpg.instance_io import (
     serialize_instance,
 )
 
-from helpers import address_space_cap, coprime_game, gnp_graph, random_game
+from helpers import address_space_cap, coprime_game, gnp_graph, nx_graph, random_game
 
 
 SAMPLE = """# a 3-path with rational data
@@ -280,7 +281,7 @@ def test_family_shapes():
     k4 = gen_random_game(GameSpec("clique", n=4)).graph
     assert len(k4.edges) == 6
     tree = gen_random_game(GameSpec("tree", n=17, seed=3)).graph
-    assert len(tree.edges) == 16 and len(tree.components()) == 1
+    assert len(tree.edges) == 16 and nx.is_connected(nx_graph(tree))
 
 
 def test_caterpillar_has_a_spine():

@@ -35,13 +35,13 @@ from helpers import (
 
 
 def test_single_player_wants_to_invest():
-    game = Game.build(Graph.from_edges(1, []), [(0, 2)], [1])
+    game = Game(Graph.from_edges(1, []), [(0, 2)], [1])
     assert enum_psne(game) == [Profile.of(0)]
     assert first_psne(game) == Profile.of(0)
 
 
 def test_single_player_never_invests_when_cost_dominates():
-    game = Game.build(Graph.from_edges(1, []), [(0, 2)], [3])
+    game = Game(Graph.from_edges(1, []), [(0, 2)], [3])
     assert enum_psne(game) == [Profile.of()]
 
 
@@ -101,23 +101,23 @@ def test_max_esw_beats_every_profile():
 def test_max_welfare_breaks_ties_toward_smaller_bitmasks():
     # all-zero externalities and zero costs: every profile ties at welfare 0
     g = path_graph(3)
-    game = Game.build(g, [(0,) * (g.degree(v) + 2) for v in range(3)], [0, 0, 0])
+    game = Game(g, [(0,) * (g.degree(v) + 2) for v in range(3)], [0, 0, 0])
     assert max_usw(game)[0] == Profile.of()
     assert max_esw(game)[0] == Profile.of()
 
 
 def test_max_esw_rejects_zero_players():
-    game = Game.build(Graph.from_edges(0, []), [], [])
+    game = Game(Graph.from_edges(0, []), [], [])
     with pytest.raises(ValueError):
         max_esw(game)
 
 
 def test_player_cap_is_enforced():
     g = Graph.from_edges(21, [])
-    game = Game.build(g, [(0, 0)] * 21, [0] * 21)
+    game = Game(g, [(0, 0)] * 21, [0] * 21)
     with pytest.raises(LimitExceeded):
         enum_psne(game)
-    small = Game.build(Graph.from_edges(3, []), [(0, 0)] * 3, [0] * 3)
+    small = Game(Graph.from_edges(3, []), [(0, 0)] * 3, [0] * 3)
     with pytest.raises(LimitExceeded):
         enum_psne(small, OracleLimits(max_players=2))
     # indifferent everywhere: every one of the 8 profiles is an equilibrium
@@ -126,7 +126,7 @@ def test_player_cap_is_enforced():
 
 def test_time_budget_is_enforced():
     g = Graph.from_edges(16, [])
-    game = Game.build(g, [(0, 0)] * 16, [0] * 16)
+    game = Game(g, [(0, 0)] * 16, [0] * 16)
     with pytest.raises(LimitExceeded):
         enum_psne(game, OracleLimits(time_budget=0.0))
 
@@ -135,7 +135,7 @@ def _eager_investors(n: int) -> Game:
     """n isolated players who each strictly prefer to invest.  The only
     equilibrium is the last mask and the graph has no 3-regular subgraph, so
     every enumeration visits all 2^n masks."""
-    return Game.build(Graph.from_edges(n, []), [(0, 2)] * n, [1] * n)
+    return Game(Graph.from_edges(n, []), [(0, 2)] * n, [1] * n)
 
 
 ENUMERATIONS = {
@@ -182,16 +182,16 @@ def _tie_and_sign_heavy_games():
         graph = gnp_graph(n, rng.choice((0.2, 0.5, 0.8)), rng)
         widths = [graph.degree(v) + 2 for v in range(n)]
         # payoffs in {0, 1} (free investment) or {-1, 0, 1}: ties everywhere
-        yield Game.build(graph, [bits(w) for w in widths], [0] * n)
-        yield Game.build(graph, [bits(w) for w in widths], [int(rng.random() < 0.3) for _ in range(n)])
+        yield Game(graph, [bits(w) for w in widths], [0] * n)
+        yield Game(graph, [bits(w) for w in widths], [int(rng.random() < 0.3) for _ in range(n)])
         # costs above every g: each investor's payoff is negative, so the
         # all-abstain profile wins
         ext = [tuple(rng.randrange(4) for _ in range(w)) for w in widths]
-        yield Game.build(graph, ext, [rng.randrange(4, 7) for _ in range(n)])
+        yield Game(graph, ext, [rng.randrange(4, 7) for _ in range(n)])
         # g(0) = 0 for everyone: the all-abstain profile scores 0
         ext = [(0,) + tuple(rng.randrange(1, 3) for _ in range(w - 1)) for w in widths]
-        yield Game.build(graph, ext, [rng.randrange(2) for _ in range(n)])
-        yield Game.build(graph, [(0,) * w for w in widths], [0] * n)
+        yield Game(graph, ext, [rng.randrange(2) for _ in range(n)])
+        yield Game(graph, [(0,) * w for w in widths], [0] * n)
     for n in (8, 10, 12):
         yield best_shot_game(path_graph(n))
         yield best_shot_game(cycle_graph(n))

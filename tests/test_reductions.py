@@ -32,7 +32,7 @@ def test_3ris_game_is_homogeneous():
     for v in range(10):
         assert game.externality[v] == (0, 1, 2, 3, 5)
     assert out.threshold is None
-    assert out.player_of(("vertex", 7)) == 7
+    assert out.witness_map[("vertex", 7)] == 7
 
 
 def test_3ris_on_petersen():
@@ -77,17 +77,17 @@ def test_uswc_layout():
     # 3 vertex-players, 3 edge-players, 1 collector
     assert game.graph.player_count == 7
     assert q == 3
-    collector = out.player_of(("special",))
+    collector = out.witness_map[("special",)]
     assert collector == 6
     assert game.cost[collector] == 3 * 3 + 1  # 3m + 1
     for e in [(0, 1), (0, 2), (1, 2)]:
-        p = out.player_of(("edge", e))
+        p = out.witness_map[("edge", e)]
         assert set(game.graph.neighbors(p)) == {e[0], e[1], collector}
         assert game.cost[p] == 3
         assert game.externality[p] == (0, 0, 0, 3, 0)
     # a vertex-player is paid 1 only at exactly kappa investors
     for u in range(3):
-        assert out.player_of(("vertex", u)) == u
+        assert out.witness_map[("vertex", u)] == u
         assert game.cost[u] == 1
         assert game.externality[u] == (0, 0, 0, 1)
     # the collector is paid 3 only at exactly kappa*(kappa-1)/2 investors
@@ -160,7 +160,7 @@ def test_eswc_layout():
     g, blue, red = star_instance()
     out = reduce_rbds_to_eswc(g, blue, red, 1)
     game = out.game
-    watchdog = out.player_of(("special",))
+    watchdog = out.witness_map[("special",)]
     assert watchdog == 3
     assert set(game.graph.neighbors(watchdog)) == {0}
     assert game.externality[1][:2] == (0, 1)

@@ -102,7 +102,7 @@ def test_no_psne_detected():
     # investing is worth it only when alone; abstaining only when the
     # neighbor invests -- matching-pennies on an edge
     g = Graph.from_edges(2, [(0, 1)])
-    game = Game.build(
+    game = Game(
         g,
         [(0, 2, 0), (0, 0, 3)],
         [1, 1],
@@ -114,7 +114,7 @@ def test_no_psne_detected():
 
 
 def test_zero_players():
-    game = Game.build(Graph.from_edges(0, []), [], [])
+    game = Game(Graph.from_edges(0, []), [], [])
     report = solve_psne_treewidth(game)
     assert report.status is SolveStatus.SOLVED
     assert len(report.profile) == 0
@@ -303,7 +303,7 @@ def _full_count_game(graph):
     d = graph.degree(0)
     hub = (Fraction(0),) * (d + 1) + (Fraction(2 * d + 2),)
     leaf = (Fraction(0), Fraction(0), Fraction(2))
-    return Game.build(graph, [hub] + [leaf] * d, [Fraction(1)] * (d + 1))
+    return Game(graph, [hub] + [leaf] * d, [Fraction(1)] * (d + 1))
 
 
 @pytest.mark.parametrize("hub_degree", [7, 8, 15, 16])
