@@ -8,6 +8,7 @@ Exit codes: 0 = solved, 1 = input error, 2 = equilibrium proven absent
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .critical_clique import build_cc_graph, is_forest
@@ -40,7 +41,6 @@ from .instance_io import (
 )
 from .oracle import LimitExceeded, OracleLimits
 from .report import SolveReport, SolveStatus
-from .reductions import reduce_3ris, reduce_clique_to_uswc, reduce_rbds_to_eswc
 from .solver import ALGORITHMS, solve
 
 EXIT_SOLVED = 0
@@ -190,6 +190,9 @@ def _witness_lines(output) -> list[str]:
 
 
 def _reduce_command(args) -> int:
+    # imported here: only this command uses it, and every start would pay it
+    from .reductions import reduce_3ris, reduce_clique_to_uswc, reduce_rbds_to_eswc
+
     graph, red = parse_graph(_read_text(args.graph))
     if args.kind == "3ris":
         output = reduce_3ris(graph)
@@ -209,6 +212,8 @@ def _reduce_command(args) -> int:
 
 
 def _gen_command(args) -> int:
+    if args.n is None and args.family != "twin_tree":
+        raise ValueError(f"--n is required for family {args.family}")
     multiplicities = None
     if args.multiplicities:
         try:
@@ -221,7 +226,7 @@ def _gen_command(args) -> int:
             ) from None
     spec = GameSpec(
         family=args.family,
-        n=args.n,
+        n=args.n or 0,
         seed=args.seed,
         p=args.p,
         width=args.width,
@@ -282,7 +287,10 @@ def _add_solver_flags(sub) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process: `parse_args` leaves it
+    as it was, and building it costs more than most small calls."""
     parser = _Parser(
         prog="bnpg",
         description="Exact solvers for binary networked public goods games.",
@@ -318,7 +326,9 @@ def build_parser() -> _Parser:
 
     gen = commands.add_parser("gen", help="generate a seeded random instance")
     gen.add_argument("--family", choices=FAMILIES, required=True)
-    gen.add_argument("--n", type=int, default=0)
+    gen.add_argument(
+        "--n", type=int, default=None, help="player count (twin_tree: from --multiplicities)"
+    )
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--p", type=float, default=0.3, help="gnp edge probability")
     gen.add_argument("--width", type=int, default=2, help="bounded_tw target width")

@@ -30,7 +30,8 @@ Pair = tuple[int, int]
 # An integer, a decimal a.b or a ratio p/q, in ASCII digits.  `Fraction()`
 # alone would also take exponents, so a 9-byte "1e1000000" would become a
 # 3.3-million-bit integer.  The groups are the sign, the integer digits, and
-# the decimals or the denominator; `read_token` builds the value from them.
+# the decimals or the denominator; `token_pair` builds the value from them,
+# for `read_token` and for the instance parser's bulk path.
 _RATIONAL_TOKEN = re.compile(r"([+-]?)([0-9]+)(?:\.([0-9]+)|/([0-9]+))?")
 
 
@@ -42,18 +43,27 @@ def read_token(token: str) -> Pair:
         return int(token), 1
     match = _RATIONAL_TOKEN.fullmatch(token)
     if match:
-        sign, digits, decimals, ratio = match.groups()
-        numerator, denominator = int(digits), 1
-        if decimals is not None:
-            denominator = 10 ** len(decimals)
-            numerator = numerator * denominator + int(decimals)
-        elif ratio is not None:
-            denominator = int(ratio)
-        if denominator:
-            common = math.gcd(numerator, denominator)
-            numerator //= common
-            return (-numerator if sign == "-" else numerator), denominator // common
+        pair = token_pair(*match.groups())
+        if pair is not None:
+            return pair
     raise ValueError(f"not an exact rational: {token!r}")
+
+
+def token_pair(sign: str, digits: str, decimals: str | None, ratio: str | None) -> Pair | None:
+    """The reduced pair from the groups of a `_RATIONAL_TOKEN` match, or None
+    for a zero denominator.  An absent group may be None or "", as `findall`
+    gives it."""
+    numerator, denominator = int(digits), 1
+    if decimals:
+        denominator = 10 ** len(decimals)
+        numerator = numerator * denominator + int(decimals)
+    elif ratio:
+        denominator = int(ratio)
+        if not denominator:
+            return None
+    common = math.gcd(numerator, denominator)
+    numerator //= common
+    return (-numerator if sign == "-" else numerator), denominator // common
 
 
 @dataclass(frozen=True)
@@ -109,7 +119,10 @@ class Graph:
 
 def _pair(value: Rational, v: int, what: str) -> Pair:
     if isinstance(value, str):
-        return read_token(value)
+        try:
+            return read_token(value)
+        except ValueError:
+            raise ValueError(f"player {v}: {what} {value!r} is not an exact rational") from None
     if isinstance(value, (int, Fraction)):
         return value.numerator, value.denominator
     raise TypeError(f"player {v}: {what} {value!r} is not an int, a Fraction or a string")

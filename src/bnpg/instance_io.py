@@ -14,17 +14,22 @@ Every player needs a cost line and a complete externality table
 through floats.  Serialization is canonical (sorted directives, integers
 printed bare, other rationals as p/q), so parse(serialize(game)) == game
 exactly.
+
+`parse_instance` reads canonical text in bulk, one regular-expression pass
+per record kind checked by counts.  Any other text, malformed text
+included, goes to a line-by-line loop, which raises every ParseError.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
-from .game import Game, Graph, Pair, read_token
+from .game import _RATIONAL_TOKEN, Game, Graph, Pair, read_token, token_pair
 
 
 class ParseError(ValueError):
@@ -60,14 +65,87 @@ def _significant_lines(text: str):
             yield idx, parts
 
 
-def parse_instance(text: str) -> Game:
-    """Parse the canonical instance format into a Game.
+# The bulk path's line patterns, compiled on first use through `re`'s own
+# cache.  The value field is `read_token`'s grammar, so both paths read one.
+_HEADER = r"bnpg 1\nn ([0-9]+)\n"
+_EDGE_LINE = r"^e ([0-9]+) ([0-9]+)$"
+_COST_LINE = rf"^c ([0-9]+) {_RATIONAL_TOKEN.pattern}$"
+_TABLE_LINE = rf"^g ([0-9]+) ([0-9]+) {_RATIONAL_TOKEN.pattern}$"
 
-    Every number token goes straight to an int pair (`read_token`), and
-    `Game.from_pairs` scales them; no Fraction is built.  The checks for
-    whole players run before any per-player structure exists, so the work
-    is bounded by the size of the text, not by the declared player count.
+
+def parse_instance(text: str) -> Game:
+    """Parse the instance format into a Game.
+
+    Every number token goes straight to an int pair (`token_pair`), and
+    `Game.from_pairs` scales them; no Fraction is built.  The bulk path
+    (`_parse_bulk`) takes the text it can vouch for, and the line loop
+    (`_parse_lines`) the rest; every ParseError comes from the loop.  Both
+    build the same Game from the same text.  Neither builds anything of the
+    declared player count's size before it has read as many cost lines, so
+    the work is bounded by the size of the text.
     """
+    try:
+        game = _parse_bulk(text)
+    except ValueError:  # a number too long for int(): the loop names it
+        game = None
+    return game if game is not None else _parse_lines(text)
+
+
+def _parse_bulk(text: str) -> Game | None:
+    """The game of a well-formed text, read with one `findall` per record
+    kind; None when this path cannot vouch for the text.
+
+    It takes only lines of the exact form `e U V`, `c V X` and `g V K X`,
+    with single spaces and "\n" line ends, after the two header lines.
+    Comments, blank lines, any other whitespace or line separator, and
+    non-ASCII digits leave a line unmatched, and an unmatched line sends the
+    whole text to the loop.  So does a minus sign or a denominator written
+    with a leading 0, which covers every negative value and zero
+    denominator ("-0" and "1/05" go to the loop too).  The other checks
+    compare sizes: no duplicate edge, cost or (v, k) entry, a cost for each
+    of the n players, and exactly the 2n + 2m table entries that every
+    lookup finds.
+    """
+    head = re.match(_HEADER, text)
+    if head is None:
+        return None
+    body = text[head.end():]
+    if body and body[-1] != "\n":
+        body += "\n"
+    if "-" in body or "/0" in body:
+        return None
+    edge_rows = re.findall(_EDGE_LINE, body, re.M)
+    cost_rows = re.findall(_COST_LINE, body, re.M)
+    table_rows = re.findall(_TABLE_LINE, body, re.M)
+    if len(edge_rows) + len(cost_rows) + len(table_rows) != body.count("\n"):
+        return None
+    n = int(head[1])
+    if len(cost_rows) != n:
+        return None
+    ends = [(int(u), int(v)) for u, v in edge_rows]
+    edges = {(u, v) if u < v else (v, u) for u, v in ends}
+    # canonical u <= v: v < n puts both ends in range
+    if len(edges) != len(ends) or any(u == v or v >= n for u, v in edges):
+        return None
+    costs = {int(v): token_pair(s, d, f, r) for v, s, d, f, r in cost_rows}
+    if len(costs) != n or max(costs, default=-1) >= n:
+        return None
+    entries = {(int(v), int(k)): token_pair(s, d, f, r) for v, k, s, d, f, r in table_rows}
+    if len(entries) != len(table_rows) or len(entries) != 2 * (n + len(edges)):
+        return None
+    degree = Counter(chain.from_iterable(edges))
+    try:
+        tables = [[entries[v, k] for k in range(degree[v] + 2)] for v in range(n)]
+    except KeyError:  # so some entry lies outside the tables
+        return None
+    graph = Graph(n, frozenset(edges))
+    return Game.from_pairs(graph, tables, [costs[v] for v in range(n)])
+
+
+def _parse_lines(text: str) -> Game:
+    """The line loop: `parse_instance` for any text, and the one source of
+    its errors.  The checks for whole players run before any per-player
+    structure exists."""
     lines = _significant_lines(text)
     try:
         idx, head = next(lines)

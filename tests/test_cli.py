@@ -11,6 +11,7 @@ import sys
 import pytest
 
 import bnpg
+from bnpg import cli
 from bnpg.cli import main
 from bnpg.game import Game, Graph
 from bnpg.instance_io import (
@@ -277,6 +278,17 @@ def test_gen_rejects_out_of_range_parameters(capsys, flags, fragment):
     assert fragment in err
 
 
+def test_gen_requires_n_except_for_twin_tree(capsys):
+    code, out, err = run(capsys, "gen", "--family", "tree", "--seed", "1")
+    assert (code, out, err) == (1, "", "error: --n is required for family tree\n")
+    # twin_tree takes its size from --multiplicities
+    code, out, err = run(
+        capsys, "gen", "--family", "twin_tree", "--multiplicities", "1,2", "--seed", "1"
+    )
+    assert code == 0 and err == ""
+    assert parse_instance(out).player_count == 3
+
+
 def test_ccgraph_reports_forest_verdict(tmp_path, capsys):
     inst = write(tmp_path, "p3.bnpg", serialize_instance(best_shot_game(path_graph(3))))
     code, out, _ = run(capsys, "ccgraph", inst)
@@ -332,6 +344,58 @@ def test_usage_errors_exit_one():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "x"])
     assert exc.value.code == 1
+
+
+def _outputs(capsys, calls):
+    """(exit code, stdout without elapsed_s, stderr) of each main() call."""
+    results = []
+    for argv in calls:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        out = "".join(
+            line for line in captured.out.splitlines(True) if not line.startswith("elapsed_s=")
+        )
+        results.append((code, out, captured.err))
+    return results
+
+
+def test_main_calls_in_a_row_share_one_parser(tmp_path, capsys, monkeypatch):
+    inst = write(tmp_path, "one.bnpg", ONE_PLAYER)
+    calls = [
+        ("psne", inst, "--machine"),
+        ("psne",),  # usage error: no instance
+        ("gen", "--family", "tree", "--n", "12", "--seed", "1"),
+        ("verify", inst, "--profile", "0", "--machine"),
+        ("psne", inst, "--machine"),
+    ]
+    assert cli.build_parser() is cli.build_parser()
+    cached = _outputs(capsys, calls)
+    psne = (0, "status=solved\npsne=yes\nprofile=0\nalgorithm=ccforest\ntable_entries=1\n", "")
+    assert cached[0] == cached[4] == psne
+    code, out, err = cached[1]
+    assert (code, out) == (1, "") and err.startswith("usage: bnpg psne ")
+    assert err.endswith("bnpg psne: error: the following arguments are required: instance\n")
+    assert hashlib.sha256(cached[2][1].encode()).hexdigest() == GEN_SHA256["tree"]
+    assert cached[3] == (0, "payoff_0=1\ngain_0=-1\npsne=true\nusw=1\nesw=1\n", "")
+    # byte for byte what a parser built for each call prints
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert _outputs(capsys, calls) == cached
+
+
+def test_importing_the_cli_leaves_out_the_reductions():
+    src = os.path.dirname(os.path.dirname(bnpg.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, bnpg.cli; print('bnpg.reductions' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 @pytest.mark.skipif(

@@ -133,6 +133,10 @@ def test_build_rejects_strings_that_are_not_exact_rationals(token):
         Game(Graph.from_edges(1, []), [(0, 0)], [token])
     with pytest.raises(ValueError, match="not an exact rational"):
         Game(Graph.from_edges(1, []), [(token, 0)], [0])
+    # the message names the player and the field, as the TypeError does
+    with pytest.raises(ValueError) as err:
+        Game(Graph.from_edges(2, []), [(0, 0), (0, 0)], [0, token])
+    assert str(err.value) == f"player 1: cost {token!r} is not an exact rational"
 
 
 def test_build_accepts_every_form_of_the_number_grammar():

@@ -1,14 +1,16 @@
 """Text formats (instances, profiles, graphs) and the seeded generator."""
 
+import functools
 import random
 import time
 from fractions import Fraction
 
 import networkx as nx
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bnpg import instance_io
 from bnpg.critical_clique import build_cc_graph
 from bnpg.decomposition import heuristic_decomposition
 from bnpg.game import Game, Graph
@@ -23,7 +25,14 @@ from bnpg.instance_io import (
     serialize_instance,
 )
 
-from helpers import address_space_cap, coprime_game, gnp_graph, nx_graph, random_game
+from helpers import (
+    address_space_cap,
+    coprime_game,
+    gnp_graph,
+    nx_graph,
+    random_game,
+    star_graph,
+)
 
 
 SAMPLE = """# a 3-path with rational data
@@ -220,6 +229,206 @@ def test_parsing_builds_no_fraction(players, monkeypatch):
         else:
             continue
         assert isinstance(value, Fraction) and value == Fraction(parts[-1])
+
+
+# ---------------------------------------------------------------------------
+# the bulk path and the line loop
+# ---------------------------------------------------------------------------
+
+
+@functools.cache
+def _benchmark_style_texts() -> tuple[str, ...]:
+    """Canonical texts of games shaped like the benchmark's three workloads
+    (large forests, a cycle and bounded_tw games, dense gnp games) for
+    seeds 1-3."""
+    texts = []
+    for seed in (1, 2, 3):
+        base = 100 * seed
+        rng = random.Random(base)
+        specs = [
+            GameSpec("caterpillar", n=600, seed=base),
+            GameSpec("caterpillar", n=600, seed=base + 1, g_mode="arbitrary", cost_mode="unit"),
+            GameSpec("tree", n=600, seed=base + 2, cost_mode="zero"),
+            GameSpec("tree", n=600, seed=base + 3, g_mode="arbitrary"),
+            GameSpec(
+                "twin_tree",
+                seed=base + 4,
+                multiplicities=tuple(rng.randint(1, 3) for _ in range(120)),
+            ),
+            GameSpec("cycle", n=300, seed=base + 5),
+            GameSpec("bounded_tw", n=40, width=2, seed=base + 6, g_mode="arbitrary"),
+            GameSpec("bounded_tw", n=60, width=2, seed=base + 7, cost_mode="unit"),
+            GameSpec("gnp", n=12, p=0.8, seed=base + 8, g_mode="arbitrary"),
+            GameSpec("gnp", n=13, p=0.8, seed=base + 9, g_mode="arbitrary", cost_mode="zero"),
+            GameSpec("gnp", n=12, p=0.8, seed=base + 10, g_mode="homogeneous"),
+        ]
+        games = [gen_random_game(spec) for spec in specs]
+        games.append(random_game(star_graph(200), rng, monotone=True))
+        games.append(coprime_game(gnp_graph(12, 0.3, rng), rng))
+        texts += [serialize_instance(game) for game in games]
+    return tuple(texts)
+
+
+def _outcome(parse, text):
+    """What a parser makes of a text: the game's int core, or its error."""
+    try:
+        game = parse(text)
+    except ParseError as err:
+        return type(err), str(err), err.line
+    return game.graph, game.scale, game.scaled_ext, game.scaled_cost
+
+
+def test_both_paths_agree_on_benchmark_style_texts():
+    for text in _benchmark_style_texts():
+        assert _outcome(parse_instance, text) == _outcome(instance_io._parse_lines, text)
+
+
+def test_the_bulk_path_carries_canonical_text(monkeypatch):
+    expected = [instance_io._parse_lines(text) for text in _benchmark_style_texts()]
+
+    def no_loop(text):
+        raise AssertionError("canonical text reached the line loop")
+
+    monkeypatch.setattr(instance_io, "_parse_lines", no_loop)
+    for text, game in zip(_benchmark_style_texts(), expected):
+        _assert_same_core(parse_instance(text), game)
+    # without its trailing newline too
+    _assert_same_core(parse_instance(_benchmark_style_texts()[-1][:-1]), expected[-1])
+
+
+_SEPARATORS = ("\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+def _record(lines: list[str], rng: random.Random) -> int:
+    """The index of a random record line, of a random kind among e, c and g
+    (a random line when there is none)."""
+    kinds = {}
+    for i, line in enumerate(lines[2:], start=2):
+        kinds.setdefault(line[:1], []).append(i)
+    groups = [kinds[k] for k in "ecg" if k in kinds]
+    if not groups:
+        return rng.randrange(len(lines)) if lines else 0
+    return rng.choice(rng.choice(groups))
+
+
+def _edit_token(line: str, rng: random.Random, edit, field: int | None = None) -> str:
+    """The line with one of its fields after the directive edited: `field`
+    counts from the end (-1 is the value), None picks one at random."""
+    parts = line.split(" ")
+    if len(parts) < 2:
+        return line
+    i = len(parts) + field if field is not None else rng.randrange(1, len(parts))
+    parts[i] = edit(parts[i])
+    return " ".join(parts)
+
+
+def _perturb(text: str, n: int, rng: random.Random, kind: str) -> str:
+    """The text with one edit of the given kind, for a game of n players."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        del lines[-1]
+    i = _record(lines, rng)
+    line = lines[i] if lines else ""
+    value = -1 if line[:1] in ("c", "g") else None  # a value field, if the line has one
+    if kind == "comment":
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(("# note", "#", "  # x 1")))
+    elif kind == "blank":
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(("", " ", "\t")))
+    elif kind == "junk line":
+        junk = ("x 1", "n 3", "bnpg 1", "e 0 1 2", "c 0", "g 0 0", "c 0 1 # x", "e0 1")
+        junk += ("g 0 9 1", "g 9 0 1", "e 0 9", "c 9 1")  # well formed, out of range
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(junk))
+    elif kind == "tab":
+        lines[i] = line.replace(" ", rng.choice(("\t", "  ", " \t")), 1)
+    elif kind == "trailing space":
+        lines[i] = line + rng.choice((" ", "\t", "\xa0"))
+    elif kind == "separator":
+        sep = rng.choice(_SEPARATORS)
+        if rng.random() < 0.5:
+            return sep.join(lines) + sep
+        lines[i:i + 1] = [line + sep + line]  # the line twice, split by sep
+    elif kind == "separator inside":
+        cut = rng.randrange(len(line) + 1)
+        lines[i] = line[:cut] + rng.choice(_SEPARATORS) + line[cut:]
+    elif kind == "non-ascii digit":
+        digits = [j for j, ch in enumerate(line) if ch.isdigit()]
+        if digits:
+            j = rng.choice(digits)
+            lines[i] = line[:j] + chr(0x660 + int(line[j])) + line[j + 1:]
+    elif kind == "underscore":
+        lines[i] = _edit_token(line, rng, lambda t: t[:1] + "_" + t[1:] if len(t) > 1 else "1_000")
+    elif kind == "plus":
+        lines[i] = _edit_token(line, rng, lambda t: "+" + t)
+    elif kind == "minus zero":
+        lines[i] = _edit_token(line, rng, lambda t: rng.choice(("-0", "-0/3", "-0.0")), value)
+    elif kind == "leading zero":
+        lines[i] = _edit_token(line, rng, lambda t: "0" + t)
+    elif kind == "decimal":
+        lines[i] = _edit_token(line, rng, lambda t: rng.choice((t + ".0", "2.25", "0.5", "1.")), value)
+    elif kind == "ratio":
+        ratios = ("{}/1", "6/4", "3/03", "5/0", "0/0", "1/000")
+        lines[i] = _edit_token(line, rng, lambda t: rng.choice(ratios).format(t), value)
+    elif kind == "reorder":
+        body = lines[2:]
+        rng.shuffle(body)
+        lines[2:] = body
+    elif kind == "drop":
+        del lines[i:i + 1]
+    elif kind == "duplicate":
+        lines.insert(i, line)
+    elif kind == "swap endpoints":
+        parts = line.split(" ")
+        if parts[0] == "e" and len(parts) == 3:
+            lines.insert(i, f"e {parts[2]} {parts[1]}")
+    elif kind == "negate":
+        lines[i] = _edit_token(line, rng, lambda t: "-" + t, value if rng.random() < 0.7 else None)
+    elif kind in ("out of range", "other player"):
+        player = -3 if line[:1] == "g" else -2 if line[:1] in ("c", "e") else None
+        low = n if kind == "out of range" else 0
+        lines[i] = _edit_token(line, rng, lambda t: str(rng.randrange(low, n + 3)), player)
+    elif kind == "index out of range":
+        if line[:1] == "g":
+            lines[i] = _edit_token(line, rng, lambda t: str(rng.randrange(2, 10)), -2)
+    elif kind == "self-loop":
+        v = rng.randrange(max(n, 1))
+        lines.insert(rng.randrange(len(lines) + 1), f"e {v} {v}")
+    else:
+        raise AssertionError(kind)
+    return "\n".join(lines) + "\n"
+
+
+_PERTURBATIONS = (
+    "comment", "blank", "junk line", "tab", "trailing space", "separator", "separator inside",
+    "non-ascii digit", "underscore", "plus", "minus zero", "leading zero", "decimal", "ratio",
+    "reorder", "drop", "duplicate", "swap endpoints", "negate", "out of range",
+    "other player", "index out of range", "self-loop",
+)
+
+
+def _assert_paths_agree(seed: int, kinds) -> None:
+    # parse_instance and the line loop give the same game or the same error
+    rng = random.Random(seed)
+    draw = coprime_game if rng.random() < 0.3 else random_game
+    n = rng.randrange(0, 7)
+    text = serialize_instance(draw(gnp_graph(n, 0.5, rng), rng))
+    for kind in kinds:
+        text = _perturb(text, n, rng, kind)
+    assert _outcome(parse_instance, text) == _outcome(instance_io._parse_lines, text)
+
+
+@pytest.mark.parametrize("kind", _PERTURBATIONS)
+def test_both_paths_agree_on_each_perturbation(kind):
+    for seed in range(100):
+        _assert_paths_agree(seed, [kind])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.sampled_from(_PERTURBATIONS), min_size=1, max_size=3),
+)
+def test_both_paths_agree_on_perturbed_text(seed, kinds):
+    _assert_paths_agree(seed, kinds)
 
 
 def test_comments_and_blank_lines_are_ignored():
