@@ -280,7 +280,7 @@ class Profile:
 
     def closed_count(self, graph: Graph, v: int) -> int:
         """Number of investors in v's closed neighborhood."""
-        return len(graph.closed_neighbors(v) & self.investing)
+        return len(graph.neighbors(v) & self.investing) + (v in self.investing)
 
     def validate_for(self, game: Game) -> None:
         for v in self.investing:
@@ -293,7 +293,7 @@ def _scaled_payoff(game: Game, profile: Profile, v: int) -> int:
     if not (0 <= v < game.player_count):
         raise IndexError(f"player {v} out of range")
     value = game.scaled_ext[v][profile.closed_count(game.graph, v)]
-    if v in profile:
+    if v in profile.investing:
         value -= game.scaled_cost[v]
     return value
 

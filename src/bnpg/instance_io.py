@@ -352,6 +352,11 @@ class GameSpec:
         if self.family == "twin_tree":
             if not self.multiplicities or any(m < 1 for m in self.multiplicities):
                 raise ValueError("twin_tree needs multiplicities, each >= 1")
+            if self.n not in (0, sum(self.multiplicities)):
+                raise ValueError(
+                    f"twin_tree n must be 0 or the sum of the block sizes "
+                    f"({sum(self.multiplicities)}), got {self.n}"
+                )
         elif self.n < 0:
             raise ValueError("n must be >= 0")
         if not 0 <= self.p <= 1:  # also rejects NaN

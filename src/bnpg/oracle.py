@@ -2,11 +2,24 @@
 
 Deliberately obvious exhaustive enumeration over all 2^n profiles (bitmask
 order, bit i = player i), used as the ground truth the polynomial solvers are
-validated against.  The one shortcut is in `max_esw`: it stops scoring a
-profile once some payoff is at or below the best minimum found so far.  Such
-a profile's minimum cannot strictly beat the incumbent, and only a strict
-improvement replaces it, so the value, the witness and the smallest-bitmask
-tie-break are those of the full scan.  Every profile is still visited.
+validated against.  Every profile is visited, and two enumerations do it
+faster than one payoff at a time:
+
+- `max_esw` stops scoring a profile once some payoff is at or below the best
+  minimum found so far.  Such a profile's minimum cannot strictly beat the
+  incumbent, and only a strict improvement replaces it, so the value, the
+  witness and the smallest-bitmask tie-break are those of the full scan.
+- `max_usw` scores the masks in blocks: a block holds the 2^L masks that
+  share their high bits, L = min(8, ceil(n/2)).  With the high bits fixed, a
+  player's payoff over the block depends only on the low bits, through its
+  closed investor count among them and its own bit if that is low.  So each
+  player's column of payoffs is built once per (high count, own high bit)
+  and cached, and a block's welfares are the column sums: the same integer
+  sums the full scan makes, per mask.  Blocks run in ascending order, the
+  first maximum inside a block is taken, and it replaces the incumbent only
+  when strictly greater, so the value, the witness and the smallest-bitmask
+  tie-break are those of the full scan.  Tabulating each half of a mask
+  apart is the meet-in-the-middle idea of Horowitz and Sahni (JACM 1974).
 """
 
 from __future__ import annotations
@@ -107,18 +120,34 @@ def max_usw(
 ) -> tuple[Profile, Fraction]:
     """A profile maximizing utilitarian welfare (smallest bitmask on ties)."""
     n = _guard(game.player_count, limits)
+    if n == 0:
+        return Profile.of(), Fraction(0)
+    low_bits = min(8, (n + 1) // 2)
+    block = range(1 << low_bits)
     closed = _closed_masks(game.graph)
-    players = list(zip(range(n), closed, game.scaled_ext, game.scaled_cost))
+    players = []
+    for v, near, g, c in zip(range(n), closed, game.scaled_ext, game.scaled_cost):
+        # row[k] is the payoff at closed count k and row[len(g) + k] that
+        # payoff less the cost.  A half's key is its closed count, plus
+        # len(g) if v's own bit is in it and set: a payoff is
+        # row[high key + low key].
+        row = list(g) + [x - c for x in g]
+        keys = [(low & near).bit_count() + (len(g) if low >> v & 1 else 0) for low in block]
+        players.append((near, 1 << v, len(g), row, keys, {}))
     best_mask, best = 0, None
     for stride in _strides(n, limits):
-        for mask in stride:
-            total = 0
-            for v, near, g, c in players:
-                total += g[(mask & near).bit_count()]
-                if (mask >> v) & 1:
-                    total -= c
-            if best is None or total > best:
-                best_mask, best = mask, total
+        for high in range(stride.start, stride.stop, len(block)):
+            columns = []
+            for near, bit, width, row, keys, cache in players:
+                key = (high & near).bit_count() + (width if high & bit else 0)
+                column = cache.get(key)
+                if column is None:
+                    column = cache[key] = list(map(row[key:].__getitem__, keys))
+                columns.append(column)
+            totals = list(map(sum, zip(*columns)))
+            top = max(totals)
+            if best is None or top > best:
+                best_mask, best = high + totals.index(top), top
     assert best is not None
     return _to_profile(best_mask, n), Fraction(best, game.scale)
 

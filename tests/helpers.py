@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 from bnpg.decomposition import TreeDecomposition
-from bnpg.game import Game, Graph, Profile
+from bnpg.game import Game, Graph, Profile, usw
 
 
 @contextlib.contextmanager
@@ -257,3 +257,17 @@ def reference_max_esw(game: Game) -> tuple[Profile, Fraction]:
     assert best is not None
     investing = frozenset(v for v in range(n) if best_mask >> v & 1)
     return Profile(investing), Fraction(best, game.scale)
+
+
+def reference_max_usw(game: Game) -> tuple[Profile, Fraction]:
+    """`oracle.max_usw` by definition: every mask in ascending order, scored
+    with `game.usw`, and the first strict maximum kept."""
+    n = game.player_count
+    best = None
+    for mask in range(1 << n):
+        profile = Profile(frozenset(v for v in range(n) if mask >> v & 1))
+        value = usw(game, profile)
+        if best is None or value > best[1]:
+            best = profile, value
+    assert best is not None
+    return best

@@ -226,8 +226,9 @@ def test_gen_twin_tree_multiplicities(capsys):
 
 
 # sha256 of `bnpg gen --family F --n 12 --seed 1` (twin_tree: block sizes
-# 2,3,1,2), then of two other value modes: the serializer must print the
-# generated values byte for byte, whatever view of them the Game keeps.
+# 2,3,1,2 and --n 8, their sum), then of two other value modes: the
+# serializer must print the generated values byte for byte, whatever view of
+# them the Game keeps.
 GEN_SHA256 = {
     "path": "810831044bbdcaf58abec9e94050f64deb0c84118a82f691895b09dbcdb1a22a",
     "cycle": "e3226321cc135941ae587be83d5575d0a70de1c3b151066253cad88ac8746309",
@@ -253,7 +254,8 @@ GEN_MODE_SHA256 = [
 @pytest.mark.parametrize(
     "flags, digest",
     [
-        (("--family", family) + (("--multiplicities", "2,3,1,2") if family == "twin_tree" else ()),
+        (("--family", family)
+         + (("--multiplicities", "2,3,1,2", "--n", "8") if family == "twin_tree" else ()),
          GEN_SHA256[family])
         for family in FAMILIES
     ]
@@ -285,6 +287,16 @@ def test_gen_requires_n_except_for_twin_tree(capsys):
     code, out, err = run(
         capsys, "gen", "--family", "twin_tree", "--multiplicities", "1,2", "--seed", "1"
     )
+    assert code == 0 and err == ""
+    assert parse_instance(out).player_count == 3
+
+
+def test_gen_rejects_a_twin_tree_n_that_disagrees_with_the_blocks(capsys):
+    args = ("gen", "--family", "twin_tree", "--multiplicities", "1,2", "--seed", "1")
+    code, out, err = run(capsys, *args, "--n", "5")
+    assert (code, out) == (1, "")
+    assert err == "error: twin_tree n must be 0 or the sum of the block sizes (3), got 5\n"
+    code, out, err = run(capsys, *args, "--n", "3")
     assert code == 0 and err == ""
     assert parse_instance(out).player_count == 3
 

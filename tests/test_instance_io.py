@@ -543,6 +543,8 @@ def test_spec_validation():
         GameSpec("path", n=3, cost_mode="negative")
     with pytest.raises(ValueError, match="multiplicities"):
         GameSpec("twin_tree", multiplicities=(2, 0))
+    with pytest.raises(ValueError, match="sum of the block sizes"):
+        GameSpec("twin_tree", n=5, multiplicities=(1, 2))
     with pytest.raises(ValueError, match="n must be >= 0"):
         GameSpec("path", n=-1)
 

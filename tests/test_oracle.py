@@ -31,6 +31,7 @@ from helpers import (
     petersen,
     random_game,
     reference_max_esw,
+    reference_max_usw,
 )
 
 
@@ -206,6 +207,35 @@ def test_the_esw_cut_keeps_the_full_scans_answer_and_tie_break():
         assert (profile, value) == reference_max_esw(game)
         above_abstain += value > esw(game, Profile.of())
     assert above_abstain >= 20  # most optima need investors
+
+
+def test_max_usw_equals_the_definitional_scan_on_tie_and_sign_heavy_games():
+    for game in _tie_and_sign_heavy_games():
+        assert max_usw(game) == reference_max_usw(game)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 9, 15, 16, 17])
+def test_max_usw_equals_the_definitional_scan_across_block_edges(n):
+    # max_usw scores masks in blocks of 2^min(8, ceil(n/2)) low bits: these
+    # counts sit on both sides of every edge of that split, and the last
+    # three span several blocks per time-budget stride.  The coprime
+    # denominators make the game's integer scale large.
+    rng = random.Random(700 + n)
+    game = coprime_game(gnp_graph(n, 0.3, rng), rng)
+    profile, value = max_usw(game)
+    assert isinstance(value, Fraction)
+    assert (profile, value) == reference_max_usw(game)
+
+
+def test_max_usw_on_zero_players_is_the_empty_profile():
+    assert max_usw(Game(Graph.from_edges(0, []), [], [])) == (Profile.of(), 0)
+
+
+def test_max_usw_breaks_an_all_zero_tie_across_blocks_toward_the_empty_profile():
+    # 17 players: 512 blocks of 256 masks, every one of which scores 0
+    graph = cycle_graph(17)
+    game = Game(graph, [(0,) * (graph.degree(v) + 2) for v in range(17)], [0] * 17)
+    assert max_usw(game) == (Profile.of(), 0)
 
 
 def test_coprime_denominators_match_the_fraction_evaluators():
