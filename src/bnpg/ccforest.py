@@ -11,6 +11,30 @@ int bitsets of 0/1 entries, so the merge is an OR over shifts and combine
 an AND; each clique's admissible investor counts and investors come from
 `game.stability_rows`, as in the treewidth PSNE.
 Applies only when the critical clique graph is a forest.
+
+Folding d children one at a time costs O(d^2) entry pairs, and rebuilding
+the prefix folds on the way down costs it again.  When every child of a
+welfare clique has one member, each child's best vector is a pair (a_j, b_j)
+(abstain, invest), and both steps take a closed form in O(d log d):
+
+- (max, +): out[z] is the sum of every a_j plus the z largest gains
+  b_j - a_j.  The walk gives entry 1 to the first z children in the order
+  (gain descending, index ascending).  That is the fold walk's choice: it
+  takes the last child's entry 0 whenever the others' z largest gains
+  already reach the target, so a tie goes to the smaller index.
+- (max, min): out[z] = min(M, A_(z+1), B^(z)), where M is the least
+  max(a_j, b_j), A_(z+1) the (z+1)-th smallest a (infinity at z = d) and
+  B^(z) the z-th largest b (infinity at z = 0).  Each is an upper bound.
+  At their minimum m, a child with a_j < m has b_j >= m, at most z
+  children have a_j < m and at least z have b_j >= m, so z investors that
+  include every such child reach m.  Sorting by gain is wrong here.  The
+  walk keeps the fold walk's test (last child first, entry 0 before 1)
+  and reads each prefix's entry from the same three order statistics of
+  the shrinking prefix, so it picks the same entries.
+
+Equal vectors and equal choices give the same values, witnesses and table
+entries as the fold.  PSNE bitsets and children of two or more members
+keep the fold and the prefix walk.
 """
 
 from __future__ import annotations
@@ -18,6 +42,7 @@ from __future__ import annotations
 import math
 import operator
 import time
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import chain, repeat
 from typing import Callable, NamedTuple, Sequence
@@ -63,9 +88,21 @@ def _psne_rule(rows: list, members: Sequence[int]):
     return value, order
 
 
+def _lone(game: Game, v: int):
+    """Both welfare rules for the one-member clique {v}: value is
+    [g_v, g_v - c(v)] and v is the one member that may invest.  Sum and
+    minimum over one member agree, so no per-total sort is needed."""
+    g = game.scaled_ext[v]
+    c = game.scaled_cost[v]
+    return [g, [e - c for e in g]], [[v]] * len(g)
+
+
 def _usw_rule(game: Game, members: Sequence[int]):
     """USW per clique: the x cheapest members by (cost, index) invest, and
-    value[x][t] is the clique's payoff sum at closed total t."""
+    value[x][t] is the clique's payoff sum at closed total t.  A
+    one-member clique takes `_lone`."""
+    if len(members) == 1:
+        return _lone(game, members[0])
     ext, cost = game.scaled_ext, game.scaled_cost
     cheap = sorted(members, key=lambda v: (cost[v], v))
     gsum = [sum(col) for col in zip(*(ext[v] for v in members))]
@@ -82,7 +119,10 @@ def _esw_rule(game: Game, members: Sequence[int]):
     g_v(t) - c(v) invest (smaller index first on ties), and value[x][t] is
     the clique's minimum payoff.  Trading an investor for an abstainer with
     a larger g - c never lowers that minimum, so no other choice of x
-    investors does better."""
+    investors does better.  A one-member clique takes `_lone`, whose
+    value and order are the ones the sort gives for one member."""
+    if len(members) == 1:
+        return _lone(game, members[0])
     ext, cost = game.scaled_ext, game.scaled_cost
     size = len(members)
     top = len(ext[members[0]]) - 1
@@ -121,9 +161,77 @@ class _Vectors(NamedTuple):
     items: Callable  # vector -> (index, entry) for the entries a split may use, ascending
     at: Callable  # (vector, index) -> entry, None at a negative index or past the end
     count: Callable  # table row -> its number of entries
+    pair_merge: Callable | None  # two-entry bests -> their merge, in closed form
+    pair_split: Callable | None  # (two-entry bests, z) -> the entry the walk takes from each
 
 
-def _lists(combine: Callable, identity) -> _Vectors:
+def _sum_pairs(pairs: list) -> list:
+    """The (max, +) merge of the pairs [a_j, b_j]: all a, plus the z largest gains."""
+    out = [sum(a for a, _ in pairs)]
+    for gain in sorted((b - a for a, b in pairs), reverse=True):
+        out.append(out[-1] + gain)
+    return out
+
+
+def _sum_split(pairs: list, z: int) -> list:
+    """Entry 1 for the first z pairs by (gain descending, index ascending)."""
+    ranked = sorted(range(len(pairs)), key=lambda j: (pairs[j][0] - pairs[j][1], j))
+    taken = [0] * len(pairs)
+    for j in ranked[:z]:
+        taken[j] = 1
+    return taken
+
+
+def _min_pairs(pairs: list) -> list:
+    """The (max, min) merge of the pairs [a_j, b_j]: out[z] is the least of
+    min_j max(a_j, b_j), the (z+1)-th smallest a and the z-th largest b."""
+    cap = min(map(max, pairs), default=math.inf)
+    low = sorted(a for a, _ in pairs)
+    low.append(math.inf)
+    high = sorted((b for _, b in pairs), reverse=True)
+    high.insert(0, math.inf)
+    return [lesser(lesser(cap, a), b) for a, b in zip(low, high)]
+
+
+def _min_split(pairs: list, z: int) -> list:
+    """The fold walk's entries for (max, min) pairs: last pair first, entry 0
+    before 1, each checked against the best of the pairs before it, read
+    from order statistics that lose one pair per step."""
+    low = sorted(a for a, _ in pairs)
+    high = sorted(b for _, b in pairs)
+    caps = [math.inf]  # caps[i]: min over the first i pairs of max(a, b)
+    for pair in pairs:
+        caps.append(lesser(caps[-1], max(pair)))
+
+    def best(i: int, r: int):
+        """Entry r of the merge of the first i pairs (`low`, `high` hold them)."""
+        if not 0 <= r <= i:
+            return None
+        out = caps[i]
+        if r < i:
+            out = lesser(out, low[r])
+        if r:
+            out = lesser(out, high[i - r])
+        return out
+
+    taken = [0] * len(pairs)
+    remaining, target = z, best(len(pairs), z)
+    for i in range(len(pairs) - 1, -1, -1):
+        pair = pairs[i]
+        del low[bisect_left(low, pair[0])]
+        del high[bisect_left(high, pair[1])]
+        for xj, right in enumerate(pair):
+            left = best(i, remaining - xj)
+            if left is not None and lesser(left, right) == target:
+                taken[i] = xj
+                remaining, target = remaining - xj, left
+                break
+        else:
+            raise AssertionError("inconsistent ccforest tables")
+    return taken
+
+
+def _lists(combine: Callable, identity, pair_merge: Callable, pair_split: Callable) -> _Vectors:
     """Welfare vectors: a list holds every entry, each one realized."""
 
     def merge(acc: list, best: list) -> list:
@@ -147,7 +255,7 @@ def _lists(combine: Callable, identity) -> _Vectors:
         bests=lambda table, ys: [[max(by_y[y]) for by_y in table] for y in ys],
         top=max, find=list.index, items=enumerate,
         at=lambda vector, i: vector[i] if 0 <= i < len(vector) else None,
-        count=len,
+        count=len, pair_merge=pair_merge, pair_split=pair_split,
     )
 
 
@@ -188,10 +296,10 @@ _BITSETS = _Vectors(
     find=lambda bits, _: (bits & -bits).bit_length() - 1,
     items=lambda bits: [(i, 1) for i in range(bits.bit_length()) if bits >> i & 1],
     at=lambda bits, i: bits >> i & 1 if i >= 0 else None,
-    count=int.bit_count,
+    count=int.bit_count, pair_merge=None, pair_split=None,
 )
-_SUMS = _lists(operator.add, 0)
-_MINIMA = _lists(lesser, math.inf)
+_SUMS = _lists(operator.add, 0, _sum_pairs, _sum_split)
+_MINIMA = _lists(lesser, math.inf, _min_pairs, _min_split)
 
 
 def _report(
@@ -214,7 +322,8 @@ def _solve(
     `order` (see the rules above).  `tables[k][x][y]` is the vector over z
     that folds `combine` over K's subtree, and `bests[k][y]` the vector over
     x of its maxima.  A root whose best vector is an empty bitset has no
-    equilibrium; a welfare vector is never empty.
+    equilibrium; a welfare vector is never empty.  Welfare children that
+    all have one member merge and split in closed form (module docstring).
     """
     started = time.perf_counter()
     cc = build_cc_graph(game.graph)
@@ -224,7 +333,12 @@ def _solve(
         return _report(started, SolveStatus.NOT_APPLICABLE, detail=str(exc))
     cliques = cc.cliques
     per_player = tabulate(game)
-    combine, identity, start, merge, rows, bests_of, top, find, items, at, count = vectors
+    (combine, identity, start, merge, rows, bests_of, top, find, items, at, count,
+     pair_merge, pair_split) = vectors
+
+    def paired(kids: tuple) -> bool:
+        return bool(kids) and pair_merge is not None and all(len(cliques[j]) == 1 for j in kids)
+
     orders: list = [None] * len(cliques)
     tables: list = [None] * len(cliques)
     bests: list = [None] * len(cliques)
@@ -233,13 +347,17 @@ def _solve(
         parent = rf.parent[k]
         ys = range(len(cliques[parent]) + 1 if parent is not None else 1)
         value, orders[k] = clique_rule(per_player, cliques[k])
+        closed_form = paired(kids)
         table = []
         for x, vx in enumerate(value):
-            merged = start
-            for j in kids:
-                merged = merge(merged, bests[j][x])
-                if not merged:  # an empty bitset stays empty
-                    break
+            if closed_form:
+                merged = pair_merge([bests[j][x] for j in kids])
+            else:
+                merged = start
+                for j in kids:
+                    merged = merge(merged, bests[j][x])
+                    if not merged:  # an empty bitset stays empty
+                        break
             table.append(rows(vx, x, merged, ys))
         tables[k] = table
         bests[k] = bests_of(table, ys)
@@ -261,6 +379,11 @@ def _solve(
         k, x, y, z = stack.pop()
         invest.update(orders[k][x + y + z][:x])
         kids = rf.children[k]
+        if paired(kids):
+            taken = pair_split([bests[j][x] for j in kids], z)
+            for j, xj in zip(reversed(kids), reversed(taken)):  # last child first
+                stack.append((j, xj, x, find(tables[j][xj][x], bests[j][x][xj])))
+            continue
         prefix = [start]
         for j in kids:
             prefix.append(merge(prefix[-1], bests[j][x]))

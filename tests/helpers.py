@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import random
 from fractions import Fraction
+from itertools import repeat
 
 from bnpg.decomposition import TreeDecomposition
 from bnpg.game import Game, Graph, Profile, usw
@@ -271,3 +272,77 @@ def reference_max_usw(game: Game) -> tuple[Profile, Fraction]:
             best = profile, value
     assert best is not None
     return best
+
+
+def reference_merge(combine):
+    """`ccforest._lists.merge` as it was before the closed forms: the (max,
+    combine) merge of two vectors, out[s] the max over a + b = s of
+    combine(acc[a], best[b]).  Kept only as the reference they must equal."""
+
+    def merge(acc: list, best: list) -> list:
+        out = list(map(combine, acc, repeat(best[0])))
+        last = acc[-1]
+        for b in range(1, len(best)):
+            right = best[b]
+            out.append(combine(last, right))
+            for s, left in enumerate(acc[:-1], b):
+                candidate = combine(left, right)
+                if candidate > out[s]:
+                    out[s] = candidate
+        return out
+
+    return merge
+
+
+def reference_fold(combine, identity, vectors: list) -> list:
+    """The children's vectors folded one at a time, as `ccforest._solve`
+    folds them when some child has two or more members."""
+    merge = reference_merge(combine)
+    merged = [identity]
+    for vector in vectors:
+        merged = merge(merged, vector)
+    return merged
+
+
+def reference_split(combine, identity, vectors: list, z: int) -> list:
+    """The entry each child takes at total z in `ccforest._solve`'s prefix
+    walk as it was before the closed forms: rebuild the prefix merges, then
+    from the last child back take the first entry that, combined with the
+    prefix before it, reaches the target."""
+    merge = reference_merge(combine)
+    start = [identity]
+    at = lambda vector, i: vector[i] if 0 <= i < len(vector) else None
+    taken = [None] * len(vectors)
+    prefix = [start]
+    for best in vectors:
+        prefix.append(merge(prefix[-1], best))
+    remaining, target = z, at(prefix[-1], z)
+    for idx in range(len(vectors) - 1, -1, -1):  # last child first
+        lefts = prefix[idx]
+        for xj, right in enumerate(vectors[idx]):  # smallest xj first
+            left = at(lefts, remaining - xj)
+            if left is not None and combine(left, right) == target:
+                taken[idx] = xj
+                remaining, target = remaining - xj, left
+                break
+        else:
+            raise AssertionError("inconsistent ccforest tables")
+    return taken
+
+
+def drawn_star(leaves: int, seed: int) -> Game:
+    """A star with hub 0, its payoffs drawn as the benchmark's forest star
+    draws them (g monotone, random costs): each table adds randint(0, 3)
+    over a denominator from (1, 1, 2, 4) per step, then each cost is
+    randint(0, 6) over one of (1, 2, 3)."""
+    rng = random.Random(seed)
+    graph = star_graph(leaves)
+    tables = []
+    for v in range(graph.player_count):
+        row, value = [], Fraction(0)
+        for _ in range(graph.degree(v) + 2):
+            value += Fraction(rng.randint(0, 3), rng.choice((1, 1, 2, 4)))
+            row.append(value)
+        tables.append(tuple(row))
+    costs = [Fraction(rng.randint(0, 6), rng.choice((1, 2, 3))) for _ in tables]
+    return Game(graph, tuple(tables), tuple(costs))

@@ -1,18 +1,25 @@
 """The critical-clique-forest dynamic programs, checked against brute force."""
 
+import hashlib
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+import bnpg.ccforest as ccforest
 from bnpg.ccforest import (
+    _min_pairs,
+    _min_split,
     _psne_rule,
+    _sum_pairs,
+    _sum_split,
     solve_esw_ccforest,
     solve_psne_ccforest,
     solve_usw_ccforest,
 )
 from bnpg.critical_clique import CriticalCliqueGraph, build_cc_graph, is_forest
-from bnpg.game import Game, Graph, Profile, esw, is_psne, stability_rows, usw
+from bnpg.game import Game, Graph, Profile, esw, is_psne, lesser, stability_rows, usw
 from bnpg.instance_io import GameSpec, gen_random_game
 from bnpg.oracle import enum_psne, max_esw, max_usw
 from bnpg.report import SolveStatus
@@ -22,9 +29,12 @@ from helpers import (
     complete_graph,
     coprime_game,
     cycle_graph,
+    drawn_star,
     path_graph,
     random_game,
     random_tree,
+    reference_fold,
+    reference_split,
     star_graph,
     twin_cluster_graph,
 )
@@ -289,8 +299,6 @@ def test_coprime_denominators_on_twin_trees():
     ids=["psne", "usw", "esw"],
 )
 def test_each_solve_makes_one_sweep(solve, monkeypatch):
-    import bnpg.ccforest as ccforest
-
     calls = []
     original = ccforest._solve
 
@@ -357,3 +365,146 @@ def test_walk_takes_the_smallest_child_count_first():
     best_usw = solve_usw_ccforest(tree)
     assert best_usw.value == Fraction(299, 12)
     assert best_usw.profile == Profile.of(0, 1, 3, 4, 6, 7, 9, 11)
+
+
+# ---------------------------------------------------------------------------
+# closed-form merges over one-member children, against the fold they replace
+# ---------------------------------------------------------------------------
+
+
+def _pair_cases(seed: int, draw):
+    """3000 lists of d = 1..8 pairs [a, b], each entry from `draw(rng)`,
+    after one case where sorting by gain is wrong for (max, min): at z = 1
+    the larger gain (10 -> 20) leaves the other child at 0, the smaller
+    (0 -> 5) keeps both at 5 or more."""
+    yield [[10, 20], [0, 5]]
+    rng = random.Random(seed)
+    for _ in range(3000):
+        yield [[draw(rng), draw(rng)] for _ in range(rng.randint(1, 8))]
+
+
+@pytest.mark.parametrize(
+    "combine, identity, pair_merge, pair_split, draw",
+    [
+        # small ints, negatives included, so ties and negative sums are common
+        (lambda a, b: a + b, 0, _sum_pairs, _sum_split, lambda rng: rng.randint(-3, 3)),
+        # infinity, the identity of min, as an entry too
+        (lesser, math.inf, _min_pairs, _min_split, lambda rng: rng.choice((-1, 0, 1, 2, 2, 3, math.inf))),
+    ],
+    ids=["sum", "min"],
+)
+def test_closed_forms_equal_the_fold_and_its_walk(combine, identity, pair_merge, pair_split, draw):
+    for pairs in _pair_cases(120, draw):
+        merged = reference_fold(combine, identity, pairs)
+        assert pair_merge(pairs) == merged, pairs
+        for z in range(len(pairs) + 1):
+            assert pair_split(pairs, z) == reference_split(combine, identity, pairs, z), (pairs, z)
+
+
+def _broom(leaves: int, handle: int) -> Graph:
+    """A path of `handle` players ending at hub `handle`, which has `leaves`
+    more leaves; handle 0 is a star."""
+    hub = handle
+    edges = [(i, i + 1) for i in range(handle)]
+    edges += [(hub, hub + i) for i in range(1, leaves + 1)]
+    return Graph.from_edges(hub + leaves + 1, edges)
+
+
+def _tie_heavy_game(graph: Graph, rng: random.Random, cost: int) -> Game:
+    tables = [
+        tuple(rng.randint(0, 1) for _ in range(graph.degree(v) + 2))
+        for v in range(graph.player_count)
+    ]
+    return Game(graph, tables, [cost] * graph.player_count)
+
+
+@pytest.mark.parametrize("handle", [0, 2], ids=["star", "broom"])
+def test_stars_and_brooms_with_tied_payoffs_match_the_oracle(handle):
+    """Payoffs in {0, 1} with unit or zero costs tie almost everywhere, so
+    the hub's children reach the closed forms with many equal gains."""
+    rng = random.Random(130 + handle)
+    for leaves in range(1, 15):
+        for cost in (0, 1):
+            game = _tie_heavy_game(_broom(leaves, handle), rng, cost)
+            best_usw = solve_usw_ccforest(game)
+            assert best_usw.value == max_usw(game)[1]
+            assert usw(game, best_usw.profile) == best_usw.value
+            best_esw = solve_esw_ccforest(game)
+            assert best_esw.value == max_esw(game)[1]
+            assert esw(game, best_esw.profile) == best_esw.value
+
+
+def _digest(profile: Profile) -> tuple[int, str]:
+    members = sorted(profile.investing)
+    return len(members), hashlib.sha256(",".join(map(str, members)).encode()).hexdigest()[:16]
+
+
+def _lifted(game: Game) -> Game:
+    """The same game with g_v(t) + t, so that no player is stuck at 0 and
+    the egalitarian optimum needs investors."""
+    tables = [tuple(g + t for t, g in enumerate(row)) for row in game.externality]
+    return Game(game.graph, tables, game.cost)
+
+
+@pytest.mark.parametrize(
+    "leaves, seed, pins",
+    [
+        (
+            200,
+            105,
+            {
+                ("drawn", "usw"): (Fraction(7093, 12), (114, "bc7669e71ff2fb6d")),
+                ("drawn", "esw"): (0, (0, "e3b0c44298fc1c14")),
+                ("lifted", "usw"): (Fraction(3281, 3), (176, "ca3e9c362d56614f")),
+                ("lifted", "esw"): (1, (2, "d20465aa92ad20bd")),  # players 0 and 4
+            },
+        ),
+        (
+            2000,
+            1,
+            {
+                ("drawn", "usw"): (Fraction(71093, 12), (1234, "2fe789ca4562eb76")),
+                ("drawn", "esw"): (0, (0, "e3b0c44298fc1c14")),
+                ("lifted", "usw"): (Fraction(132103, 12), (1756, "02c0f1e206945786")),
+                ("lifted", "esw"): (1, (1, "5feceb66ffc86f38")),  # player 0
+            },
+        ),
+    ],
+    ids=["200", "2000"],
+)
+def test_star_answers_are_pinned(leaves, seed, pins):
+    """Values and sorted witnesses (count, digest) on the benchmark's star
+    draw, as the fold over every child gave them."""
+    game = drawn_star(leaves, seed)
+    games = {"drawn": game, "lifted": _lifted(game)}
+    solvers = {"usw": solve_usw_ccforest, "esw": solve_esw_ccforest}
+    for (which, question), (value, witness) in pins.items():
+        report = solvers[question](games[which])
+        assert (report.value, _digest(report.profile)) == (value, witness), (which, question)
+        assert report.table_entries == 6 * leaves + 2
+
+
+def _count_folds(monkeypatch) -> list:
+    """Count every pairwise fold step of both welfare vector types."""
+    calls = []
+    for name in ("_SUMS", "_MINIMA"):
+        vectors = getattr(ccforest, name)
+
+        def counted(acc, best, merge=vectors.merge):
+            calls.append(1)
+            return merge(acc, best)
+
+        monkeypatch.setattr(ccforest, name, vectors._replace(merge=counted))
+    return calls
+
+
+@pytest.mark.parametrize("solve", [solve_usw_ccforest, solve_esw_ccforest], ids=["usw", "esw"])
+def test_one_member_children_are_never_folded(solve, monkeypatch):
+    """A 2000-leaf star neither folds the hub's children nor rebuilds their
+    prefixes; a twin tree, whose cliques have several members, still folds."""
+    calls = _count_folds(monkeypatch)
+    assert solve(drawn_star(2000, 1)).status is SolveStatus.SOLVED
+    assert calls == []
+    twins = gen_random_game(GameSpec("twin_tree", seed=3, multiplicities=(2, 1, 3, 1, 2, 1, 1, 2)))
+    assert solve(twins).status is SolveStatus.SOLVED
+    assert calls
