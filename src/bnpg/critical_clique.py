@@ -8,13 +8,12 @@ that graph is a forest the dynamic programs in `ccforest` apply.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .game import Graph
 
 
-@dataclass(frozen=True)
-class CriticalCliqueGraph:
+class CriticalCliqueGraph(NamedTuple):
     """The source graph plus its partition into critical cliques.
 
     Cliques are indexed by their minimum member; `edges` holds the contracted
@@ -56,8 +55,7 @@ def build_cc_graph(graph: Graph) -> CriticalCliqueGraph:
     return CriticalCliqueGraph(graph, cliques, tuple(clique_of), frozenset(cc_edges))
 
 
-@dataclass(frozen=True)
-class RootedForest:
+class RootedForest(NamedTuple):
     """A rooting of the critical clique forest.
 
     One root per component (the lowest clique index); children are in

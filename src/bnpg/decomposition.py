@@ -9,10 +9,9 @@ an introduce, a forget, or a join, and the root bag is empty.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
-from .game import Graph
+from .game import Graph, _immutable
 from .instance_io import ParseError
 
 HEURISTICS = ("min_fill", "min_degree")
@@ -25,7 +24,6 @@ class Violation(NamedTuple):
     detail: str
 
 
-@dataclass(frozen=True)
 class TreeDecomposition:
     """Bags plus the tree skeleton joining them.
 
@@ -34,23 +32,24 @@ class TreeDecomposition:
     axioms depend on a graph and live in `validate_decomposition`.
     """
 
+    __slots__ = ("bags", "tree_edges")
+
     bags: tuple[tuple[int, ...], ...]
     tree_edges: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
-        if not self.bags:
+    def __init__(self, bags: Iterable[Iterable[int]], tree_edges: Iterable[tuple[int, int]]) -> None:
+        bags = tuple(tuple(sorted(set(bag))) for bag in bags)
+        if not bags:
             raise ValueError("a tree decomposition needs at least one bag")
-        object.__setattr__(
-            self, "bags", tuple(tuple(sorted(set(bag))) for bag in self.bags)
-        )
-        for bag in self.bags:
+        object.__setattr__(self, "bags", bags)
+        for bag in bags:
             for v in bag:
                 if v < 0:
                     raise ValueError(f"negative vertex {v} in a bag")
         canon = []
         seen = set()
-        for u, v in self.tree_edges:
-            if not (0 <= u < len(self.bags)) or not (0 <= v < len(self.bags)):
+        for u, v in tree_edges:
+            if not (0 <= u < len(bags)) or not (0 <= v < len(bags)):
                 raise ValueError(f"tree edge ({u}, {v}) references a missing bag")
             if u == v:
                 raise ValueError(f"tree edge ({u}, {v}) is a self-loop")
@@ -60,10 +59,9 @@ class TreeDecomposition:
             seen.add(edge)
             canon.append(edge)
         object.__setattr__(self, "tree_edges", tuple(sorted(canon)))
-        if len(self.tree_edges) != len(self.bags) - 1:
+        if len(canon) != len(bags) - 1:
             raise ValueError(
-                f"{len(self.bags)} bags need {len(self.bags) - 1} tree edges, "
-                f"got {len(self.tree_edges)}"
+                f"{len(bags)} bags need {len(bags) - 1} tree edges, got {len(canon)}"
             )
         # connectivity of the skeleton (with the right edge count => a tree)
         adj = self.skeleton_neighbors()
@@ -77,6 +75,22 @@ class TreeDecomposition:
                     queue.append(nb)
         if len(seen_bags) != len(self.bags):
             raise ValueError("tree edges do not connect all bags")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TreeDecomposition):
+            return NotImplemented
+        return self.bags == other.bags and self.tree_edges == other.tree_edges
+
+    def __hash__(self) -> int:
+        return hash((self.bags, self.tree_edges))
+
+    def __repr__(self) -> str:
+        return f"TreeDecomposition(bags={self.bags!r}, tree_edges={self.tree_edges!r})"
+
+    def __reduce__(self):
+        return TreeDecomposition, (self.bags, self.tree_edges)
+
+    __setattr__ = __delattr__ = _immutable
 
     def width(self) -> int:
         return max(len(bag) for bag in self.bags) - 1
@@ -147,32 +161,39 @@ def validate_decomposition(td: TreeDecomposition, graph: Graph) -> list[Violatio
 # Nice form
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class NiceTreeDecomposition:
     """Rooted decomposition with leaf / introduce / forget / join nodes.
 
     `parent[i]` is None exactly at `root`, whose bag must be empty.  Kinds,
     children, the introduced/forgotten vertex per node, and an iterative
     postorder are derived here; shape violations raise ValueError.
+    Immutable; `==` and `hash` mean the canonical bags, `parent` and `root`,
+    which determine the derived fields.
     """
 
-    bags: tuple[tuple[int, ...], ...]
-    parent: tuple["int | None", ...]
-    root: int
-    kinds: tuple[str, ...] = field(init=False)
-    children: tuple[tuple[int, ...], ...] = field(init=False)
-    distinguished: tuple["int | None", ...] = field(init=False)
-    postorder: tuple[int, ...] = field(init=False)
+    __slots__ = ("bags", "parent", "root", "kinds", "children", "distinguished", "postorder")
 
-    def __post_init__(self) -> None:
-        count = len(self.bags)
+    bags: tuple[tuple[int, ...], ...]
+    parent: tuple[int | None, ...]
+    root: int
+    kinds: tuple[str, ...]
+    children: tuple[tuple[int, ...], ...]
+    distinguished: tuple[int | None, ...]
+    postorder: tuple[int, ...]
+
+    def __init__(
+        self, bags: Iterable[Iterable[int]], parent: tuple[int | None, ...], root: int
+    ) -> None:
+        bags = tuple(tuple(sorted(set(bag))) for bag in bags)
+        count = len(bags)
         if count == 0:
             raise ValueError("a nice tree decomposition needs at least one node")
-        if len(self.parent) != count:
+        if len(parent) != count:
             raise ValueError("parent array length does not match the bag count")
-        object.__setattr__(
-            self, "bags", tuple(tuple(sorted(set(bag))) for bag in self.bags)
-        )
+        setattr_ = object.__setattr__
+        setattr_(self, "bags", bags)
+        setattr_(self, "parent", parent)
+        setattr_(self, "root", root)
         roots = [i for i, p in enumerate(self.parent) if p is None]
         if roots != [self.root]:
             raise ValueError(
@@ -228,10 +249,28 @@ class NiceTreeDecomposition:
                 kinds[i] = "join"
             else:
                 raise ValueError(f"node {i} has {len(ch)} children; at most 2 allowed")
-        object.__setattr__(self, "kinds", tuple(kinds))
-        object.__setattr__(self, "children", tuple(tuple(c) for c in kids))
-        object.__setattr__(self, "distinguished", tuple(distinguished))
-        object.__setattr__(self, "postorder", tuple(reversed(order)))
+        setattr_(self, "kinds", tuple(kinds))
+        setattr_(self, "children", tuple(tuple(c) for c in kids))
+        setattr_(self, "distinguished", tuple(distinguished))
+        setattr_(self, "postorder", tuple(reversed(order)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, NiceTreeDecomposition):
+            return NotImplemented
+        return (self.bags, self.parent, self.root) == (other.bags, other.parent, other.root)
+
+    def __hash__(self) -> int:
+        return hash((self.bags, self.parent, self.root))
+
+    def __repr__(self) -> str:
+        return (
+            f"NiceTreeDecomposition(bags={self.bags!r}, parent={self.parent!r}, root={self.root!r})"
+        )
+
+    def __reduce__(self):
+        return NiceTreeDecomposition, (self.bags, self.parent, self.root)
+
+    __setattr__ = __delattr__ = _immutable
 
     def width(self) -> int:
         return max(len(bag) for bag in self.bags) - 1

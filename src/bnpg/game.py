@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Rational = Fraction | int | str
 Pair = tuple[int, int]
@@ -66,23 +65,31 @@ def token_pair(sign: str, digits: str, decimals: str | None, ratio: str | None) 
     return (-numerator if sign == "-" else numerator), denominator // common
 
 
-@dataclass(frozen=True)
+def _immutable(self, name: str, *value) -> None:
+    """`__setattr__` and `__delattr__` of the immutable records.  So that they
+    copy and pickle, `__reduce__` gives their constructor's arguments."""
+    raise AttributeError(f"cannot assign to or delete {name!r}: a {type(self).__name__} is immutable")
+
+
 class Graph:
     """Immutable undirected graph on players 0..player_count-1.
 
     Edges are canonical (u < v) pairs; self-loops and duplicates are rejected.
+    `==`, `hash` and `repr` mean the player count and the edges; the
+    adjacency sets derived from them take no part.
     """
+
+    __slots__ = ("player_count", "edges", "_adj")
 
     player_count: int
     edges: frozenset[tuple[int, int]]
-    _adj: tuple[frozenset[int], ...] = field(repr=False, compare=False, default=())
 
-    def __post_init__(self) -> None:
-        if self.player_count < 0:
+    def __init__(self, player_count: int, edges: frozenset[tuple[int, int]]) -> None:
+        if player_count < 0:
             raise ValueError("player_count must be >= 0")
-        adj: list[set[int]] = [set() for _ in range(self.player_count)]
-        for u, v in self.edges:
-            if not (0 <= u < self.player_count and 0 <= v < self.player_count):
+        adj: list[set[int]] = [set() for _ in range(player_count)]
+        for u, v in edges:
+            if not (0 <= u < player_count and 0 <= v < player_count):
                 raise ValueError(f"edge ({u}, {v}) out of range")
             if u == v:
                 raise ValueError(f"self-loop at {u}")
@@ -90,7 +97,25 @@ class Graph:
                 raise ValueError(f"edge ({u}, {v}) not in canonical (u < v) order")
             adj[u].add(v)
             adj[v].add(u)
+        object.__setattr__(self, "player_count", player_count)
+        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_adj", tuple(frozenset(a) for a in adj))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self.player_count == other.player_count and self.edges == other.edges
+
+    def __hash__(self) -> int:
+        return hash((self.player_count, self.edges))
+
+    def __repr__(self) -> str:
+        return f"Graph(player_count={self.player_count!r}, edges={self.edges!r})"
+
+    def __reduce__(self):
+        return Graph, (self.player_count, self.edges)
+
+    __setattr__ = __delattr__ = _immutable
 
     @classmethod
     def from_edges(cls, player_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -246,18 +271,37 @@ class Game:
     def __repr__(self) -> str:
         return f"Game(graph={self.graph!r}, externality={self.externality!r}, cost={self.cost!r})"
 
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}: a Game is immutable")
+    def __reduce__(self):
+        return Game, (self.graph, self.externality, self.cost)
 
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}: a Game is immutable")
+    __setattr__ = __delattr__ = _immutable
 
 
-@dataclass(frozen=True)
 class Profile:
     """A pure strategy profile: the set of investing players."""
 
+    __slots__ = ("investing",)
+
     investing: frozenset[int]
+
+    def __init__(self, investing: frozenset[int]) -> None:
+        object.__setattr__(self, "investing", investing)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Profile):
+            return NotImplemented
+        return self.investing == other.investing
+
+    def __hash__(self) -> int:
+        return hash((self.investing,))
+
+    def __repr__(self) -> str:
+        return f"Profile(investing={self.investing!r})"
+
+    def __reduce__(self):
+        return Profile, (self.investing,)
+
+    __setattr__ = __delattr__ = _immutable
 
     @classmethod
     def of(cls, *players: int) -> Profile:
@@ -348,11 +392,20 @@ def is_psne(game: Game, profile: Profile) -> bool:
     return True
 
 
+def _scaled_payoffs(game: Game, investing: frozenset[int]) -> Iterator[int]:
+    # `_scaled_payoff` of each player in turn, for a profile already checked,
+    # with the tables and the adjacency read through locals.
+    for v, (g, c, nbrs) in enumerate(zip(game.scaled_ext, game.scaled_cost, game.graph._adj)):
+        if v in investing:
+            yield g[len(nbrs & investing) + 1] - c
+        else:
+            yield g[len(nbrs & investing)]
+
+
 def usw(game: Game, profile: Profile) -> Fraction:
     """Utilitarian social welfare: sum of all payoffs (0 for no players)."""
     profile.validate_for(game)
-    total = sum(_scaled_payoff(game, profile, v) for v in range(game.player_count))
-    return Fraction(total, game.scale)
+    return Fraction(sum(_scaled_payoffs(game, profile.investing)), game.scale)
 
 
 def esw(game: Game, profile: Profile) -> Fraction:
@@ -360,8 +413,7 @@ def esw(game: Game, profile: Profile) -> Fraction:
     if game.player_count == 0:
         raise ValueError("egalitarian welfare is undefined for a zero-player game")
     profile.validate_for(game)
-    lowest = min(_scaled_payoff(game, profile, v) for v in range(game.player_count))
-    return Fraction(lowest, game.scale)
+    return Fraction(min(_scaled_payoffs(game, profile.investing)), game.scale)
 
 
 def stability_rows(game: Game) -> list:

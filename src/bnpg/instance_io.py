@@ -25,9 +25,9 @@ from __future__ import annotations
 import random
 import re
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from typing import NamedTuple
 
 from .game import _RATIONAL_TOKEN, Game, Graph, Pair, read_token, token_pair
 
@@ -329,10 +329,9 @@ G_MODES = ("monotone", "arbitrary", "homogeneous")
 COST_MODES = ("zero", "unit", "random")
 
 
-@dataclass(frozen=True)
-class GameSpec:
-    """Deterministic recipe for a random instance (same spec, same game)."""
-
+# The fields of a GameSpec.  A NamedTuple may not define `__new__`, so the
+# checks live in a subclass.
+class _SpecFields(NamedTuple):
     family: str
     n: int = 0
     seed: int = 0
@@ -342,7 +341,14 @@ class GameSpec:
     g_mode: str = "monotone"
     cost_mode: str = "random"
 
-    def __post_init__(self) -> None:
+
+class GameSpec(_SpecFields):
+    """Deterministic recipe for a random instance (same spec, same game)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> GameSpec:
+        self = super().__new__(cls, *args, **kwargs)
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}, pick from {FAMILIES}")
         if self.g_mode not in G_MODES:
@@ -363,6 +369,7 @@ class GameSpec:
             raise ValueError(f"p must be in [0, 1], got {self.p}")
         if self.width < 1:
             raise ValueError(f"width must be >= 1, got {self.width}")
+        return self
 
 
 def _random_tree_parents(t: int, rng: random.Random) -> list[int]:

@@ -25,10 +25,9 @@ faster than one payoff at a time:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .game import Game, Graph, Profile, is_stable
 
@@ -39,8 +38,7 @@ class LimitExceeded(RuntimeError):
     """Raised when an instance is too large (or too slow) for enumeration."""
 
 
-@dataclass(frozen=True)
-class OracleLimits:
+class OracleLimits(NamedTuple):
     max_players: int = 20
     time_budget: float | None = None  # seconds, checked coarsely
 

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .game import Profile
 
@@ -15,8 +15,7 @@ class SolveStatus(enum.Enum):
     NOT_APPLICABLE = "not_applicable"
 
 
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(NamedTuple):
     """Outcome of a solver run.
 
     For welfare solvers `value` is the optimal welfare; for equilibrium

@@ -410,6 +410,25 @@ def test_importing_the_cli_leaves_out_the_reductions():
     assert proc.stdout == "False\n"
 
 
+def test_importing_the_cli_loads_every_solver_but_not_dataclasses():
+    """A one-shot `bnpg` start pays for its import, and `dataclasses` (with
+    `inspect`) was about half of it.  The solver modules still load, so the
+    import is cheaper because its classes are, not because work moved."""
+    src = os.path.dirname(os.path.dirname(bnpg.__file__))
+    names = ["dataclasses", "inspect"] + [
+        f"bnpg.{m}" for m in ("ccforest", "treewidth", "decomposition", "oracle", "instance_io")
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys, bnpg.cli; print([n in sys.modules for n in {names!r}])"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == str([False, False] + [True] * 5) + "\n"
+
+
 @pytest.mark.skipif(
     shutil.which("bnpg") is None,
     reason="the bnpg console script is not on PATH; install it with pip install -e .",
