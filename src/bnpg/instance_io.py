@@ -303,14 +303,6 @@ def parse_graph(text: str) -> tuple[Graph, frozenset[int]]:
     return Graph(n, frozenset(edges)), frozenset(red)
 
 
-def serialize_graph(graph: Graph, red: frozenset[int] = frozenset()) -> str:
-    out = [f"n {graph.player_count}"]
-    out += [f"e {u} {v}" for u, v in sorted(graph.edges)]
-    if red:
-        out.append("red " + " ".join(str(v) for v in sorted(red)))
-    return "\n".join(out) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Seeded generators
 # ---------------------------------------------------------------------------

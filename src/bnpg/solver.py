@@ -10,11 +10,7 @@ from __future__ import annotations
 import time
 
 from .ccforest import solve_esw_ccforest, solve_psne_ccforest, solve_usw_ccforest
-from .decomposition import (
-    NiceTreeDecomposition,
-    TreeDecomposition,
-    heuristic_decomposition,
-)
+from .decomposition import NiceTreeDecomposition, TreeDecomposition
 from .game import Game
 from .oracle import OracleLimits, first_psne, max_esw, max_usw
 from .report import SolveReport, SolveStatus
@@ -70,23 +66,23 @@ def solve(
             report = _CCFOREST[question](game)
             if report.status is not SolveStatus.NOT_APPLICABLE:
                 return report
-            heuristic = heuristic_decomposition(game.graph, "min_fill")
-            if heuristic.width() <= width_cap:
-                algo, td = "treewidth", heuristic
-            elif game.player_count <= limits.max_players:
-                algo = "brute"
-            else:
+            # one min-fill run: the solver checks its width against the
+            # cap before it builds anything from it
+            report = _TREEWIDTH[question](game, None, width_cap)
+            if report.status is not SolveStatus.NOT_APPLICABLE:
+                return report
+            if game.player_count > limits.max_players:
                 return SolveReport(
                     status=SolveStatus.NOT_APPLICABLE,
                     algorithm="auto",
                     detail=(
                         "no solver applies: the critical clique graph is not "
-                        f"a forest, the heuristic decomposition width "
-                        f"{heuristic.width()} exceeds the cap {width_cap}, "
-                        f"and {game.player_count} players exceed the "
-                        f"brute-force limit {limits.max_players}"
+                        f"a forest, the heuristic {report.detail}, and "
+                        f"{game.player_count} players exceed the brute-force "
+                        f"limit {limits.max_players}"
                     ),
                 )
+            algo = "brute"
     if algo == "ccforest":
         return _CCFOREST[question](game)
     if algo == "treewidth":

@@ -33,6 +33,16 @@ def address_space_cap(extra: int):
         resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
+def serialize_graph(graph: Graph, red: frozenset[int] = frozenset()) -> str:
+    """The text `instance_io.parse_graph` reads: `n`, one `e` line per
+    edge, and an optional `red` line."""
+    out = [f"n {graph.player_count}"]
+    out += [f"e {u} {v}" for u, v in sorted(graph.edges)]
+    if red:
+        out.append("red " + " ".join(str(v) for v in sorted(red)))
+    return "\n".join(out) + "\n"
+
+
 def path_graph(n: int) -> Graph:
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 

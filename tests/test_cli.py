@@ -19,12 +19,11 @@ from bnpg.instance_io import (
     GameSpec,
     gen_random_game,
     parse_instance,
-    serialize_graph,
     serialize_instance,
 )
 from bnpg.oracle import max_usw
 
-from helpers import best_shot_game, cycle_graph, path_graph
+from helpers import best_shot_game, cycle_graph, path_graph, serialize_graph
 
 
 ONE_PLAYER = "bnpg 1\nn 1\nc 0 1\ng 0 0 0\ng 0 1 2\n"

@@ -1,5 +1,6 @@
 """Tree decompositions: axioms, heuristics, nice form, PACE files."""
 
+import pickle
 import random
 import time
 
@@ -16,9 +17,15 @@ from bnpg.decomposition import (
     validate_nice,
     write_pace,
 )
+from bnpg.elimination import elimination_order, nice_from_elimination
 from bnpg.game import Game, Graph
 from bnpg.instance_io import GameSpec, ParseError, gen_random_game
-from bnpg.treewidth import prepare_decomposition
+from bnpg.treewidth import (
+    prepare_decomposition,
+    solve_esw_treewidth,
+    solve_psne_treewidth,
+    solve_usw_treewidth,
+)
 
 from helpers import (
     complete_graph,
@@ -26,6 +33,7 @@ from helpers import (
     gnp_graph,
     path_graph,
     address_space_cap,
+    random_game,
     random_tree,
     reference_elimination,
 )
@@ -285,6 +293,51 @@ def test_nice_join_nodes_appear_for_branching_bags():
     ntd = to_nice(td, g)
     assert "join" in ntd.kinds
     assert validate_nice(ntd, g) == []
+
+
+def _builder_corpus():
+    """Seeded games of five families, n = 0, 1 and 2 among them, and
+    graphs with isolated vertices or several components."""
+    rng = random.Random(37)
+    for family in ("bounded_tw", "cycle", "tree", "caterpillar", "gnp"):
+        for n in (0, 1, 2):
+            yield gen_random_game(GameSpec(family, n=n, width=1, seed=n))
+        for seed in range(12):
+            n = rng.randrange(3, 16)
+            spec = GameSpec(family, n=n, width=rng.randrange(1, 4), p=0.3, seed=seed)
+            yield gen_random_game(spec)
+    for _ in range(12):
+        n = rng.randrange(1, 10)
+        core = gnp_graph(n, rng.choice((0.1, 0.3)), rng)
+        yield random_game(Graph.from_edges(n + rng.randrange(0, 4), core.edges), rng)
+
+
+def _answers(game, ntd):
+    solvers = [solve_psne_treewidth, solve_usw_treewidth]
+    if game.player_count:
+        solvers.append(solve_esw_treewidth)
+    return [(r.status, r.value, r.profile) for r in (solve(game, ntd) for solve in solvers)]
+
+
+def test_elimination_builder_agrees_with_the_checked_constructor():
+    """The nice form built from the min-fill order skips `__init__`'s
+    derivations; they would give the same kinds, children (a join's in
+    index order, which the sweep's tie-breaks follow), distinguished
+    vertices and postorder.  It is valid, as wide as min-fill's
+    decomposition, and answers the same after a pickle round trip, which
+    goes through `__init__`."""
+    for game in _builder_corpus():
+        graph = game.graph
+        ntd = nice_from_elimination(*elimination_order(graph))
+        checked = NiceTreeDecomposition(ntd.bags, ntd.parent, ntd.root)
+        for field in ("kinds", "children", "distinguished", "postorder"):
+            assert getattr(ntd, field) == getattr(checked, field), field
+        assert validate_nice(ntd, graph) == []
+        assert ntd.width() == heuristic_decomposition(graph).width()
+        assert prepare_decomposition(game) == ntd
+        copy = pickle.loads(pickle.dumps(ntd))
+        assert copy == ntd
+        assert _answers(game, copy) == _answers(game, ntd)
 
 
 # ---------------------------------------------------------------------------

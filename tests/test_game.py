@@ -39,7 +39,9 @@ from helpers import (
 # hypothesis strategies
 # ---------------------------------------------------------------------------
 
-RATIONALS = st.fractions(min_value=0, max_value=4, max_denominator=4)
+# the 25 values of st.fractions(min_value=0, max_value=4, max_denominator=4),
+# which draws them about ten times slower
+RATIONALS = st.sampled_from(sorted({Fraction(p, q) for q in range(1, 5) for p in range(4 * q + 1)}))
 
 
 @st.composite

@@ -21,7 +21,6 @@ from bnpg.instance_io import (
     gen_random_game,
     parse_graph,
     parse_instance,
-    serialize_graph,
     serialize_instance,
 )
 
@@ -31,6 +30,7 @@ from helpers import (
     gnp_graph,
     nx_graph,
     random_game,
+    serialize_graph,
     star_graph,
 )
 

@@ -70,6 +70,35 @@ def test_auto_explains_why_nothing_applies():
     )
 
 
+@pytest.mark.parametrize("width_cap", [8, 0])
+def test_auto_runs_min_fill_once_and_builds_without_checks(width_cap, monkeypatch):
+    """Within the cap or past it, `auto` runs min-fill once per solve, and
+    builds the nice form without validating or re-deriving it."""
+    import bnpg.decomposition
+    import bnpg.elimination
+    import bnpg.treewidth
+
+    calls = []
+    original = bnpg.elimination.elimination_order
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a check ran on the min-fill path")
+
+    monkeypatch.setattr(bnpg.elimination, "elimination_order", counted)
+    monkeypatch.setattr(bnpg.decomposition.NiceTreeDecomposition, "__init__", refused)
+    monkeypatch.setattr(bnpg.decomposition, "validate_decomposition", refused)
+    monkeypatch.setattr(bnpg.treewidth, "validate_nice", refused)
+    game = best_shot_game(cycle_graph(6))
+    for question in QUESTIONS:
+        report = solve(game, question, width_cap=width_cap)
+        assert report.algorithm == ("treewidth" if width_cap else "brute")
+    assert len(calls) == len(QUESTIONS)
+
+
 def test_auto_with_a_decomposition_runs_treewidth_on_it():
     game = best_shot_game(random_tree(6, random.Random(2)))  # a forest all the same
     one_bag = TreeDecomposition((tuple(range(6)),), ())  # wider than min-fill's

@@ -337,9 +337,9 @@ def test_state_counts_are_pinned():
     """Table entries on one width-2 hub game: an encoding of the states
     that merged or split any of them would move these counts."""
     game = gen_random_game(GameSpec("bounded_tw", n=40, width=2, seed=7))
-    assert solve_psne_treewidth(game).table_entries == 1222
-    assert solve_usw_treewidth(game).table_entries == 17481
-    assert solve_esw_treewidth(game).table_entries == 17481
+    assert solve_psne_treewidth(game).table_entries == 1223
+    assert solve_usw_treewidth(game).table_entries == 9057
+    assert solve_esw_treewidth(game).table_entries == 9057
 
 
 def _answers(game, algo):
@@ -390,7 +390,7 @@ def test_witnesses_are_pinned():
             (3, 6, 8, 9, 10, 12, 16, 17, 20, 21, 23, 27, 33),
             (Fraction(365, 2), (0, 1, 2, 3, 4, 6, 7, 8, 9, 10, 11, 12, 13, 16, 17, 18,
                                 20, 21, 23, 24, 27, 28, 30, 33, 35, 36, 37, 38)),
-            (Fraction(3, 4), (0, 3, 12, 18, 19, 20)),
+            (Fraction(3, 4), (0, 3, 12, 19, 20, 24, 37)),
         ),
         (
             small,
