@@ -3,15 +3,18 @@
 A decomposition is a tree of bags covering every vertex, covering both ends
 of every edge in one bag, and keeping each vertex's bags connected.  The
 solvers in `treewidth` consume the *nice* form, where every node is a leaf,
-an introduce, a forget, or a join, and the root bag is empty.
+an introduce, a forget, or a join, and the root bag is empty.  One builder,
+`_nice_from_skeleton`, makes that form from a rooted skeleton, with two
+entry points: `to_nice` for a given decomposition, which it validates and
+roots at a chosen bag, and `elimination.nice_from_elimination` for an
+elimination order's tree.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, NamedTuple, Sequence
 
-from .game import Graph, _immutable
+from .game import Graph, _Record
 from .instance_io import ParseError
 
 HEURISTICS = ("min_fill", "min_degree")
@@ -24,7 +27,7 @@ class Violation(NamedTuple):
     detail: str
 
 
-class TreeDecomposition:
+class TreeDecomposition(_Record):
     """Bags plus the tree skeleton joining them.
 
     `bags[i]` is a sorted vertex tuple; `tree_edges` hold bag indices with
@@ -33,6 +36,7 @@ class TreeDecomposition:
     """
 
     __slots__ = ("bags", "tree_edges")
+    _fields = ("bags", "tree_edges")
 
     bags: tuple[tuple[int, ...], ...]
     tree_edges: tuple[tuple[int, int], ...]
@@ -64,33 +68,8 @@ class TreeDecomposition:
                 f"{len(bags)} bags need {len(bags) - 1} tree edges, got {len(canon)}"
             )
         # connectivity of the skeleton (with the right edge count => a tree)
-        adj = self.skeleton_neighbors()
-        seen_bags = {0}
-        queue = deque([0])
-        while queue:
-            b = queue.popleft()
-            for nb in adj[b]:
-                if nb not in seen_bags:
-                    seen_bags.add(nb)
-                    queue.append(nb)
-        if len(seen_bags) != len(self.bags):
+        if len(_root_skeleton(self, 0)[1]) != len(self.bags):
             raise ValueError("tree edges do not connect all bags")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TreeDecomposition):
-            return NotImplemented
-        return self.bags == other.bags and self.tree_edges == other.tree_edges
-
-    def __hash__(self) -> int:
-        return hash((self.bags, self.tree_edges))
-
-    def __repr__(self) -> str:
-        return f"TreeDecomposition(bags={self.bags!r}, tree_edges={self.tree_edges!r})"
-
-    def __reduce__(self):
-        return TreeDecomposition, (self.bags, self.tree_edges)
-
-    __setattr__ = __delattr__ = _immutable
 
     def width(self) -> int:
         return max(len(bag) for bag in self.bags) - 1
@@ -103,11 +82,39 @@ class TreeDecomposition:
         return [sorted(nbrs) for nbrs in adj]
 
 
+def _root_skeleton(
+    td: TreeDecomposition, root: int
+) -> tuple[list[int | None], list[int]]:
+    """Each bag's parent with the skeleton rooted at `root` (None there and
+    at bags it cannot reach), and the reached bags in preorder, a bag's
+    neighbors pushed in ascending index; reversed, a postorder that finishes
+    a bag's children in ascending index."""
+    adj = td.skeleton_neighbors()
+    parent: list[int | None] = [None] * len(adj)
+    seen = [False] * len(adj)
+    seen[root] = True
+    order: list[int] = []
+    stack = [root]
+    while stack:
+        b = stack.pop()
+        order.append(b)
+        for nb in adj[b]:
+            if not seen[nb]:
+                seen[nb] = True
+                parent[nb] = b
+                stack.append(nb)
+    return parent, order
+
+
 def validate_decomposition(td: TreeDecomposition, graph: Graph) -> list[Violation]:
     """Check the three coverage axioms; empty result means valid.
 
     Violations come out grouped by axiom (vertex cover, then edge cover,
     then per-vertex connectivity), each group in ascending witness order.
+    With the skeleton rooted, a vertex's bags are connected iff exactly one
+    of them has a parent that does not hold it, so the check is linear in
+    the total bag size; only a vertex that fails it has its bags grouped,
+    to name one it cannot reach.
     """
     violations: list[Violation] = []
     in_bags: list[list[int]] = [[] for _ in range(graph.player_count)]
@@ -131,29 +138,27 @@ def validate_decomposition(td: TreeDecomposition, graph: Graph) -> list[Violatio
             violations.append(
                 Violation("edge-cover", f"edge ({u}, {v}) is contained in no bag")
             )
-    adj = td.skeleton_neighbors()
+    parent, order = _root_skeleton(td, 0)
+    rank = [0] * len(order)
+    for i, b in enumerate(order):
+        rank[b] = i
     for v in range(graph.player_count):
-        holding = in_bags[v]
-        if len(holding) <= 1:
+        holding, holding_set = in_bags[v], holding_sets[v]
+        if sum(parent[b] not in holding_set for b in holding) <= 1:
             continue
-        holding_set = holding_sets[v]
-        reached = {holding[0]}
-        queue = deque([holding[0]])
-        while queue:
-            b = queue.popleft()
-            for nb in adj[b]:
-                if nb in holding_set and nb not in reached:
-                    reached.add(nb)
-                    queue.append(nb)
-        if len(reached) != len(holding):
-            stranded = sorted(holding_set - reached)
-            violations.append(
-                Violation(
-                    "connectivity",
-                    f"bags containing vertex {v} split into separate groups "
-                    f"(bag {holding[0]} cannot reach bag {stranded[0]})",
-                )
+        # in preorder, a bag's parent comes first: label each bag by the top
+        # of its group, then name the first bag outside bag holding[0]'s
+        top: dict[int, int] = {}
+        for b in sorted(holding, key=rank.__getitem__):
+            top[b] = top.get(parent[b], b)
+        stranded = next(b for b in holding if top[b] != top[holding[0]])
+        violations.append(
+            Violation(
+                "connectivity",
+                f"bags containing vertex {v} split into separate groups "
+                f"(bag {holding[0]} cannot reach bag {stranded})",
             )
+        )
     return violations
 
 
@@ -161,7 +166,7 @@ def validate_decomposition(td: TreeDecomposition, graph: Graph) -> list[Violatio
 # Nice form
 # ---------------------------------------------------------------------------
 
-class NiceTreeDecomposition:
+class NiceTreeDecomposition(_Record):
     """Rooted decomposition with leaf / introduce / forget / join nodes.
 
     `parent[i]` is None exactly at `root`, whose bag must be empty.  Kinds,
@@ -172,6 +177,7 @@ class NiceTreeDecomposition:
     """
 
     __slots__ = ("bags", "parent", "root", "kinds", "children", "distinguished", "postorder")
+    _fields = ("bags", "parent", "root")
 
     bags: tuple[tuple[int, ...], ...]
     parent: tuple[int | None, ...]
@@ -272,24 +278,6 @@ class NiceTreeDecomposition:
         setattr_(self, "postorder", tuple(reversed(_preorder(children, root))))
         return self
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, NiceTreeDecomposition):
-            return NotImplemented
-        return (self.bags, self.parent, self.root) == (other.bags, other.parent, other.root)
-
-    def __hash__(self) -> int:
-        return hash((self.bags, self.parent, self.root))
-
-    def __repr__(self) -> str:
-        return (
-            f"NiceTreeDecomposition(bags={self.bags!r}, parent={self.parent!r}, root={self.root!r})"
-        )
-
-    def __reduce__(self):
-        return NiceTreeDecomposition, (self.bags, self.parent, self.root)
-
-    __setattr__ = __delattr__ = _immutable
-
     def width(self) -> int:
         return max(len(bag) for bag in self.bags) - 1
 
@@ -320,41 +308,94 @@ def validate_nice(ntd: NiceTreeDecomposition, graph: Graph) -> list[Violation]:
     return validate_decomposition(ntd.as_decomposition(), graph)
 
 
-class _NiceBuilder:
-    """Accumulates nodes while converting to nice form."""
+def _nice_from_skeleton(
+    bags: Sequence[tuple[int, ...]],
+    parent: Sequence[int | None],
+    postorder: Iterable[int],
+) -> NiceTreeDecomposition:
+    """The nice form of a rooted skeleton, as wide as its widest bag.
 
-    def __init__(self) -> None:
-        self.bags: list[tuple[int, ...]] = []
-        self.parent: list[int | None] = []
+    `bags` are sorted; `parent[b]` is None at a root; `postorder` lists
+    every bag after its children, and the order in which it finishes a
+    bag's children is the order they are joined in.  For each bag: the
+    finished top of each child, topped by introduces, in sorted order, of
+    what it lacks, and these tops folded through equal-bag joins; a bag
+    with no children starts from a leaf and introduces its bag.  Right
+    after a bag's subtree come forgets, in sorted order, of what its parent
+    lacks, or of everything at a root.  Several roots are joined at empty
+    bags.  Each node is made knowing its kind, children (a join's in
+    ascending index) and distinguished vertex, so the result takes
+    `NiceTreeDecomposition._trusted`: it is what `__init__` would derive
+    from the same bags and parents.
+    """
+    nice_bags: list[tuple[int, ...]] = []
+    nice_parent: list[int | None] = []
+    kinds: list[str] = []
+    children: list[tuple[int, ...]] = []
+    distinguished: list[int | None] = []
 
-    def add(self, bag: Iterable[int], children: tuple[int, ...] = ()) -> int:
-        idx = len(self.bags)
-        self.bags.append(tuple(sorted(bag)))
-        self.parent.append(None)
-        for c in children:
-            self.parent[c] = idx
+    def add(bag: tuple[int, ...], kind: str, below: tuple[int, ...] = (), vertex=None) -> int:
+        idx = len(nice_bags)
+        nice_bags.append(bag)
+        nice_parent.append(None)
+        kinds.append(kind)
+        children.append(below)
+        distinguished.append(vertex)
+        for c in below:
+            nice_parent[c] = idx
         return idx
+
+    def joined(tops: list[int], bag: tuple[int, ...]) -> int:
+        node = tops[0]
+        for other in tops[1:]:
+            node = add(bag, "join", (min(node, other), max(node, other)))
+        return node
+
+    finished: list[list[int]] = [[] for _ in bags]  # bag -> its children's tops
+    roots: list[int] = []
+    for b in postorder:
+        bag = bags[b]
+        shaped = []
+        for node in finished[b]:
+            have = set(nice_bags[node])
+            for x in bag:
+                if x not in have:
+                    have.add(x)
+                    node = add(tuple(y for y in bag if y in have), "introduce", (node,), x)
+            shaped.append(node)
+        if shaped:
+            node = joined(shaped, bag)
+        else:
+            node = add((), "leaf")
+            for k, x in enumerate(bag):
+                node = add(bag[: k + 1], "introduce", (node,), x)
+        up = parent[b]
+        keep = () if up is None else bags[up]
+        for x in bag:
+            if x not in keep:
+                bag = tuple(y for y in bag if y != x)
+                node = add(bag, "forget", (node,), x)
+        (roots if up is None else finished[up]).append(node)
+    root = joined(roots, ()) if roots else add((), "leaf")
+    return NiceTreeDecomposition._trusted(
+        tuple(nice_bags),
+        tuple(nice_parent),
+        root,
+        tuple(kinds),
+        tuple(children),
+        tuple(distinguished),
+    )
 
 
 def to_nice(
     td: TreeDecomposition, graph: Graph, root_bag: int = 0
 ) -> NiceTreeDecomposition:
-    """Convert a valid decomposition to nice form without widening any bag.
-
-    Each skeleton edge becomes a chain of forgets then introduces; bags with
-    several children are folded through equal-bag joins; the chosen root bag
-    is forgotten down to the mandatory empty root.  This serves user
-    decompositions (`--td`) and acceptance check 8; with none given, the
-    solvers take `elimination.nice_from_elimination` instead.
-
-    The root matters.  A bag vertex's forgotten-neighbor count stays in
-    every DP state until the vertex is forgotten.  On a min-fill
-    decomposition, the default root bag 0 is the first eliminated vertex's,
-    a leaf of the elimination tree, so the vertices on its path up are
-    forgotten late and their counts multiply the join tables.  On the five
-    `bounded_tw` games of the benchmark's sparse-tw workload, USW takes
-    86,994 table entries and 191,256 join pairs rooted there, and 57,562
-    and 150,584 rooted at the last eliminated vertex, at the same width.
+    """Convert a valid decomposition to nice form without widening any bag:
+    `_nice_from_skeleton` on the skeleton rooted at `root_bag`, a bag's
+    children joined in ascending index.  This serves user decompositions
+    (`--td`) and acceptance check 8; with none given, the solvers build the
+    nice form from the min-fill order instead, rooted where it pays (see
+    `elimination.nice_from_elimination`).
     """
     problems = validate_decomposition(td, graph)
     if problems:
@@ -364,55 +405,8 @@ def to_nice(
         )
     if not (0 <= root_bag < len(td.bags)):
         raise ValueError(f"root bag {root_bag} does not exist")
-    adj = td.skeleton_neighbors()
-    order: list[int] = []  # preorder; reversed gives a postorder
-    skeleton_parent: dict[int, int | None] = {root_bag: None}
-    stack = [root_bag]
-    while stack:
-        b = stack.pop()
-        order.append(b)
-        for nb in adj[b]:
-            if nb not in skeleton_parent:
-                skeleton_parent[nb] = b
-                stack.append(nb)
-
-    builder = _NiceBuilder()
-    tops: dict[int, int] = {}  # skeleton bag -> its finished nice subtree top
-    for b in reversed(order):
-        target = set(td.bags[b])
-        kids = [nb for nb in adj[b] if skeleton_parent.get(nb) == b]
-        shaped: list[int] = []
-        for c in sorted(kids):
-            node = tops[c]
-            bag = set(td.bags[c])
-            for v in sorted(bag - target):  # forget what the parent lacks
-                bag.discard(v)
-                node = builder.add(bag, (node,))
-            for v in sorted(target - bag):  # then introduce what it adds
-                bag.add(v)
-                node = builder.add(bag, (node,))
-            shaped.append(node)
-        if not shaped:
-            node = builder.add(())
-            running: set[int] = set()
-            for v in sorted(target):
-                running.add(v)
-                node = builder.add(running, (node,))
-            tops[b] = node
-        else:
-            node = shaped[0]
-            for other in shaped[1:]:
-                node = builder.add(target, (node, other))
-            tops[b] = node
-
-    node = tops[root_bag]
-    bag = set(td.bags[root_bag])
-    for v in sorted(bag):
-        bag.discard(v)
-        node = builder.add(bag, (node,))
-    return NiceTreeDecomposition(
-        tuple(builder.bags), tuple(builder.parent), root=node
-    )
+    parent, order = _root_skeleton(td, root_bag)
+    return _nice_from_skeleton(td.bags, parent, reversed(order))
 
 
 # ---------------------------------------------------------------------------
@@ -424,23 +418,16 @@ def heuristic_decomposition(
     graph: Graph, heuristic: str = "min_fill"
 ) -> TreeDecomposition:
     """The clique tree of `elimination.elimination_order`'s fill-in graph:
-    bag i is the i-th eliminated vertex's, and joins the bag of its
-    first-eliminated later neighbor, or, with none, the next bag."""
+    bag i is the i-th eliminated vertex's, and joins its parent in
+    `elimination.elimination_tree`, or, at a root, the next bag."""
     # imported here, not at the top, so that `import bnpg.cli` does not load it
-    from .elimination import elimination_order
+    from .elimination import elimination_order, elimination_tree
 
     order, bags = elimination_order(graph, heuristic)
     if not bags:
         return TreeDecomposition(((),), ())
-    elim_index = {v: i for i, v in enumerate(order)}
-    edges = []
-    for i, bag in enumerate(bags):
-        later = [u for u in bag if elim_index[u] > i]
-        if later:
-            parent = min(later, key=lambda u: elim_index[u])
-            edges.append((i, elim_index[parent]))
-        elif i + 1 < len(bags):
-            edges.append((i, i + 1))
+    parents = elimination_tree(order, bags)
+    edges = [(i, i + 1 if p is None else p) for i, p in enumerate(parents[:-1])]
     return TreeDecomposition(tuple(bags), tuple(edges))
 
 

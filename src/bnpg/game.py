@@ -65,13 +65,39 @@ def token_pair(sign: str, digits: str, decimals: str | None, ratio: str | None) 
     return (-numerator if sign == "-" else numerator), denominator // common
 
 
-def _immutable(self, name: str, *value) -> None:
-    """`__setattr__` and `__delattr__` of the immutable records.  So that they
-    copy and pickle, `__reduce__` gives their constructor's arguments."""
-    raise AttributeError(f"cannot assign to or delete {name!r}: a {type(self).__name__} is immutable")
+class _Record:
+    """Base of the immutable records.  `==`, `hash`, `repr` and `__reduce__`
+    (so that a record copies and pickles) all mean the constructor arguments
+    that `_fields` names; whatever else a record derives takes no part."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key()))
+        return f"{type(self).__name__}({args})"
+
+    def __reduce__(self):
+        return type(self), self._key()
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"cannot assign to or delete {name!r}: a {type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
 
 
-class Graph:
+class Graph(_Record):
     """Immutable undirected graph on players 0..player_count-1.
 
     Edges are canonical (u < v) pairs; self-loops and duplicates are rejected.
@@ -80,6 +106,7 @@ class Graph:
     """
 
     __slots__ = ("player_count", "edges", "_adj")
+    _fields = ("player_count", "edges")
 
     player_count: int
     edges: frozenset[tuple[int, int]]
@@ -100,22 +127,6 @@ class Graph:
         object.__setattr__(self, "player_count", player_count)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_adj", tuple(frozenset(a) for a in adj))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return self.player_count == other.player_count and self.edges == other.edges
-
-    def __hash__(self) -> int:
-        return hash((self.player_count, self.edges))
-
-    def __repr__(self) -> str:
-        return f"Graph(player_count={self.player_count!r}, edges={self.edges!r})"
-
-    def __reduce__(self):
-        return Graph, (self.player_count, self.edges)
-
-    __setattr__ = __delattr__ = _immutable
 
     @classmethod
     def from_edges(cls, player_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -153,7 +164,7 @@ def _pair(value: Rational, v: int, what: str) -> Pair:
     raise TypeError(f"player {v}: {what} {value!r} is not an int, a Fraction or a string")
 
 
-class Game:
+class Game(_Record):
     """A BNPG instance: graph + per-player externality table + cost.
 
     `externality[v]` has exactly degree(v)+2 entries, indexed by the number of
@@ -175,6 +186,7 @@ class Game:
     """
 
     __slots__ = ("graph", "scale", "scaled_ext", "scaled_cost", "_values")
+    _fields = ("graph", "externality", "cost")
 
     graph: Graph
     scale: int
@@ -260,48 +272,17 @@ class Game:
     def player_count(self) -> int:
         return self.graph.player_count
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Game):
-            return NotImplemented
-        return self.graph == other.graph and self._exact() == other._exact()
 
-    def __hash__(self) -> int:
-        return hash((self.graph, self._exact()))
-
-    def __repr__(self) -> str:
-        return f"Game(graph={self.graph!r}, externality={self.externality!r}, cost={self.cost!r})"
-
-    def __reduce__(self):
-        return Game, (self.graph, self.externality, self.cost)
-
-    __setattr__ = __delattr__ = _immutable
-
-
-class Profile:
+class Profile(_Record):
     """A pure strategy profile: the set of investing players."""
 
     __slots__ = ("investing",)
+    _fields = ("investing",)
 
     investing: frozenset[int]
 
     def __init__(self, investing: frozenset[int]) -> None:
         object.__setattr__(self, "investing", investing)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Profile):
-            return NotImplemented
-        return self.investing == other.investing
-
-    def __hash__(self) -> int:
-        return hash((self.investing,))
-
-    def __repr__(self) -> str:
-        return f"Profile(investing={self.investing!r})"
-
-    def __reduce__(self):
-        return Profile, (self.investing,)
-
-    __setattr__ = __delattr__ = _immutable
 
     @classmethod
     def of(cls, *players: int) -> Profile:

@@ -48,14 +48,11 @@ def prepare_decomposition(
     """Produce a validated nice decomposition for this game's graph.
 
     None builds the nice form straight from the min-fill elimination order,
-    rooted at the last eliminated vertex (`elimination.nice_from_elimination`),
-    with no validation or re-derivation.  On the benchmark's five sparse-tw
-    `bounded_tw` games, USW then takes 57,562 table entries, against 86,994
-    rooted at the first eliminated vertex, where `to_nice` roots min-fill's
-    decomposition by default: see `to_nice` for why.  A plain decomposition
-    is converted by `to_nice`, which validates it; a nice one is validated
-    as-is.  Invalid input raises ValueError naming the first broken
-    property.
+    rooted at the last eliminated vertex (`elimination.nice_from_elimination`,
+    which says why that root), with no validation or re-derivation.  A plain
+    decomposition is converted by `to_nice`, which validates it; both go
+    through the one nice-form builder.  A nice one is validated as-is.
+    Invalid input raises ValueError naming the first broken property.
     """
     if decomposition is None:
         # imported here, not at the top, so that `import bnpg.cli` does not load it
