@@ -32,29 +32,32 @@ def elimination_order(
     not a scan of every live vertex.  `bags[i]` is the sorted set of
     `order[i]` and its neighbors in the fill-in graph that are eliminated
     after it.
+
+    Fill counts are kept up to date, not recounted.  A vertex's count starts
+    as its neighbor pairs less the edges among its neighbors, each edge
+    (a, b) counted once at every common neighbor of a and b.  Eliminating v
+    drops, at each neighbor u, the pairs (v, x) with x not adjacent to v;
+    a fill edge (a, b) closes its pair at every common neighbor of a and b,
+    and opens at a the pairs (b, x) with x not adjacent to b, and the same
+    at b.  Each update is one set intersection, and Python intersects by
+    walking the smaller set, so eliminating a leaf of a hub costs the leaf's
+    degree, not the O(deg^2) recount of the hub's neighborhood.
     """
     if heuristic not in HEURISTICS:
         raise ValueError(f"unknown heuristic {heuristic!r}; expected one of {HEURISTICS}")
+    fill = heuristic == "min_fill"
     n = graph.player_count
     live: dict[int, set[int]] = {
         v: set(graph.neighbors(v)) for v in range(n)
     }
-
-    def fill_score(v: int) -> int:
-        nbrs = sorted(live[v])
-        missing = 0
-        for i, a in enumerate(nbrs):
-            adj_a = live[a]
-            for b in nbrs[i + 1 :]:
-                if b not in adj_a:
-                    missing += 1
-        return missing
-
-    def degree(v: int) -> int:
-        return len(live[v])
-
-    score = fill_score if heuristic == "min_fill" else degree
-    scores = {v: score(v) for v in live}
+    if fill:
+        closed = [0] * n  # edges among each vertex's neighbors
+        for a, b in graph.edges:
+            for w in live[a] & live[b]:
+                closed[w] += 1
+        scores = {v: len(nb) * (len(nb) - 1) // 2 - closed[v] for v, nb in live.items()}
+    else:
+        scores = {v: len(nb) for v, nb in live.items()}
     heap = [(s, v) for v, s in scores.items()]
     heapify(heap)
 
@@ -64,25 +67,35 @@ def elimination_order(
         s, v = heappop(heap)
         while scores.get(v) != s:  # stale: v is eliminated or rescored
             s, v = heappop(heap)
-        nbrs = sorted(live[v])
-        bags.append(tuple(sorted([v] + nbrs)))
-        order.append(v)
-        dirty: set[int] = set(nbrs)
-        for i, a in enumerate(nbrs):
-            for b in nbrs[i + 1 :]:
-                if b not in live[a]:
-                    live[a].add(b)
-                    live[b].add(a)
-                    if heuristic == "min_fill":
-                        dirty.update(live[a] & live[b])
-        for u in nbrs:
-            live[u].discard(v)
-        del live[v]
+        nbrs = live.pop(v)
         del scores[v]
-        dirty.discard(v)
-        for u in dirty & live.keys():
-            s = score(u)
-            if s != scores[u]:
+        before = {u: scores[u] for u in nbrs}
+        touched = set(nbrs)
+        bags.append(tuple(sorted([v, *nbrs])))
+        order.append(v)
+        for u in nbrs:
+            adj = live[u]
+            adj.discard(v)
+            if fill:
+                scores[u] -= len(adj) - len(adj & nbrs)
+        ordered = sorted(nbrs)
+        for i, a in enumerate(ordered):
+            adj_a = live[a]
+            for b in ordered[i + 1 :]:
+                if b not in adj_a:
+                    adj_b = live[b]
+                    if fill:
+                        common = adj_a & adj_b
+                        for w in common:
+                            scores[w] -= 1
+                        touched |= common
+                        scores[a] += len(adj_a) - len(common)
+                        scores[b] += len(adj_b) - len(common)
+                    adj_a.add(b)
+                    adj_b.add(a)
+        for u in touched:
+            s = scores[u] if fill else len(live[u])
+            if s != before.get(u):
                 scores[u] = s
                 heappush(heap, (s, u))
     return order, bags

@@ -178,19 +178,23 @@ def _replay(
     the forgotten vertex in the child's key.
 
     - Introduce: the child key is the key without the newcomer's field.
-    - Forget: the first child key, in insertion order, that maps to the key
-      and whose `combine` with its contribution equals the key's value.
+    - Forget: every child key that can map to the key is built, not
+      searched for: the key less the bump of an investing v, with v's field
+      put back at its position for each invest bit and each count up to v's
+      degree.  Of those in the child table whose `combine` with their
+      contribution equals the key's value, the first in insertion order; a
+      scan of the table orders them only when there are several.
     - Join: the first left key, in insertion order, whose one possible
       right partner (the key minus the left counts, with the key's invest
       bits) is in the right table and combines to the key's value.
 
     The sweep keeps the first child key or pair that reaches a key's best
-    value, and a left key fixes its partner, so these scans find the same
-    witness it kept.  Each node's table is scanned at most once.
+    value, and a left key fixes its partner, so these find the same witness
+    it kept.  A forget costs 2(deg + 1) lookups unless its child keys tie,
+    and each node's table is scanned at most once.
     """
     graph = game.graph
     width = _field_width(graph)
-    field = (1 << width) - 1
     bags = ntd.bags
     invest: set[int] = set()
     stack: list[tuple[int, int]] = [(ntd.root, 0)]
@@ -207,17 +211,28 @@ def _replay(
             shift, nbr_invest, bump = _forget_layout(graph, ntd, i, width)
             below = (1 << shift) - 1
             above = shift + width
-            rows = contribution[ntd.distinguished[i]]
-            for child_key, val in tables[child].items():
-                own = (child_key >> shift) & field
-                invests = own & 1
-                if (child_key & below) | ((child_key >> above) << shift) != key - invests * bump:
+            v = ntd.distinguished[i]
+            rows = contribution[v]
+            child_table = tables[child]
+            matches = []
+            for invests in (0, 1):
+                rest = key - invests * bump
+                if rest < 0:
                     continue
-                adds = rows[invests][(own >> 1) + (child_key & nbr_invest).bit_count() + invests]
-                if adds is not None and combine(val, adds) == target:
-                    break
-            if invests:
-                invest.add(ntd.distinguished[i])
+                # v's field goes back in at its position, with every count
+                # it can hold
+                outer = (rest & below) | ((rest >> shift) << above)
+                for count in range(graph.degree(v) + 1):
+                    child_key = outer | (((count << 1) | invests) << shift)
+                    val = child_table.get(child_key)
+                    if val is None:
+                        continue
+                    adds = rows[invests][count + (child_key & nbr_invest).bit_count() + invests]
+                    if adds is not None and combine(val, adds) == target:
+                        matches.append(child_key)
+            child_key = matches[0] if len(matches) == 1 else next(k for k in child_table if k in matches)
+            if child_key & (1 << shift):
+                invest.add(v)
             stack.append((child, child_key))
         elif kind == "join":
             left, right = ntd.children[i]
