@@ -3,11 +3,12 @@
 A decomposition is a tree of bags covering every vertex, covering both ends
 of every edge in one bag, and keeping each vertex's bags connected.  The
 solvers in `treewidth` consume the *nice* form, where every node is a leaf,
-an introduce, a forget, or a join, and the root bag is empty.  One builder,
-`_nice_from_skeleton`, makes that form from a rooted skeleton, with two
-entry points: `to_nice` for a given decomposition, which it validates and
-roots at a chosen bag, and `elimination.nice_from_elimination` for an
-elimination order's tree.
+an introduce, a forget, or a join, and the root bag is empty.  Both forms
+are rooted once, when made, and one check, `_coverage_violations`, reads
+either rooting.  One builder, `_nice_from_skeleton`, makes the nice form
+from a rooted skeleton, with two entry points: `to_nice` for a given
+decomposition, which it validates and roots at a chosen bag, and
+`elimination.nice_from_elimination` for an elimination order's tree.
 """
 
 from __future__ import annotations
@@ -27,29 +28,34 @@ class Violation(NamedTuple):
     detail: str
 
 
+def _canonical_bags(bags: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
+    """The one bag rule of both forms: sorted, deduplicated, nonnegative."""
+    bags = tuple(tuple(sorted(set(bag))) for bag in bags)
+    for bag in bags:
+        if bag and bag[0] < 0:
+            raise ValueError(f"negative vertex {bag[0]} in a bag")
+    return bags
+
+
 class TreeDecomposition(_Record):
     """Bags plus the tree skeleton joining them.
 
     `bags[i]` is a sorted vertex tuple; `tree_edges` hold bag indices with
-    u < v.  The skeleton must be a tree (checked here); the three coverage
-    axioms depend on a graph and live in `validate_decomposition`.
+    u < v.  The skeleton must be a tree, checked by rooting it at bag 0; the
+    rooting is kept, outside `==` and `hash`, for `validate_decomposition`,
+    where the three coverage axioms, which depend on a graph, live.
     """
 
-    __slots__ = ("bags", "tree_edges")
+    __slots__ = ("bags", "tree_edges", "_rooting")
     _fields = ("bags", "tree_edges")
 
     bags: tuple[tuple[int, ...], ...]
     tree_edges: tuple[tuple[int, int], ...]
 
     def __init__(self, bags: Iterable[Iterable[int]], tree_edges: Iterable[tuple[int, int]]) -> None:
-        bags = tuple(tuple(sorted(set(bag))) for bag in bags)
+        bags = _canonical_bags(bags)
         if not bags:
             raise ValueError("a tree decomposition needs at least one bag")
-        object.__setattr__(self, "bags", bags)
-        for bag in bags:
-            for v in bag:
-                if v < 0:
-                    raise ValueError(f"negative vertex {v} in a bag")
         canon = []
         seen = set()
         for u, v in tree_edges:
@@ -62,36 +68,36 @@ class TreeDecomposition(_Record):
                 raise ValueError(f"duplicate tree edge {edge}")
             seen.add(edge)
             canon.append(edge)
-        object.__setattr__(self, "tree_edges", tuple(sorted(canon)))
         if len(canon) != len(bags) - 1:
             raise ValueError(
                 f"{len(bags)} bags need {len(bags) - 1} tree edges, got {len(canon)}"
             )
+        tree_edges = tuple(sorted(canon))
         # connectivity of the skeleton (with the right edge count => a tree)
-        if len(_root_skeleton(self, 0)[1]) != len(self.bags):
+        rooting = _root_skeleton(len(bags), tree_edges, 0)
+        if len(rooting[1]) != len(bags):
             raise ValueError("tree edges do not connect all bags")
+        object.__setattr__(self, "bags", bags)
+        object.__setattr__(self, "tree_edges", tree_edges)
+        object.__setattr__(self, "_rooting", rooting)
 
     def width(self) -> int:
         return max(len(bag) for bag in self.bags) - 1
 
-    def skeleton_neighbors(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in self.bags]
-        for u, v in self.tree_edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return [sorted(nbrs) for nbrs in adj]
-
 
 def _root_skeleton(
-    td: TreeDecomposition, root: int
+    count: int, tree_edges: Sequence[tuple[int, int]], root: int
 ) -> tuple[list[int | None], list[int]]:
     """Each bag's parent with the skeleton rooted at `root` (None there and
-    at bags it cannot reach), and the reached bags in preorder, a bag's
-    neighbors pushed in ascending index; reversed, a postorder that finishes
-    a bag's children in ascending index."""
-    adj = td.skeleton_neighbors()
-    parent: list[int | None] = [None] * len(adj)
-    seen = [False] * len(adj)
+    at bags it cannot reach), and the reached bags in preorder.  Sorted
+    `tree_edges`, u < v in each, push a bag's neighbors in ascending index;
+    reversed, a postorder that finishes a bag's children in that order."""
+    adj: list[list[int]] = [[] for _ in range(count)]
+    for u, v in tree_edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    parent: list[int | None] = [None] * count
+    seen = [False] * count
     seen[root] = True
     order: list[int] = []
     stack = [root]
@@ -107,19 +113,27 @@ def _root_skeleton(
 
 
 def validate_decomposition(td: TreeDecomposition, graph: Graph) -> list[Violation]:
-    """Check the three coverage axioms; empty result means valid.
+    """Check the three coverage axioms (`_coverage_violations`); empty means valid."""
+    return _coverage_violations(td.bags, *td._rooting, graph)
+
+
+def _coverage_violations(
+    bags: Sequence[tuple[int, ...]], parent: Sequence[int | None], preorder: Sequence[int], graph: Graph
+) -> list[Violation]:
+    """The coverage axioms over a tree of sorted bags: `parent[b]` is None
+    at the root, and `preorder` lists every bag after its parent.
 
     Violations come out grouped by axiom (vertex cover, then edge cover,
     then per-vertex connectivity), each group in ascending witness order.
-    With the skeleton rooted, a vertex's bags are connected iff exactly one
-    of them has a parent that does not hold it, so the check is linear in
-    the total bag size; only a vertex that fails it has its bags grouped,
-    to name one it cannot reach.
+    A vertex's bags are connected iff exactly one of them has a parent that
+    does not hold it, so the check is linear in the total bag size; only a
+    vertex that fails it has its bags grouped, to name one it cannot reach.
+    The groups, and so the violations, do not depend on the root.
     """
     violations: list[Violation] = []
     in_bags: list[list[int]] = [[] for _ in range(graph.player_count)]
     foreign: list[tuple[int, int]] = []
-    for i, bag in enumerate(td.bags):
+    for i, bag in enumerate(bags):
         for v in bag:
             if v >= graph.player_count:
                 foreign.append((i, v))
@@ -138,9 +152,8 @@ def validate_decomposition(td: TreeDecomposition, graph: Graph) -> list[Violatio
             violations.append(
                 Violation("edge-cover", f"edge ({u}, {v}) is contained in no bag")
             )
-    parent, order = _root_skeleton(td, 0)
-    rank = [0] * len(order)
-    for i, b in enumerate(order):
+    rank = [0] * len(preorder)
+    for i, b in enumerate(preorder):
         rank[b] = i
     for v in range(graph.player_count):
         holding, holding_set = in_bags[v], holding_sets[v]
@@ -188,9 +201,10 @@ class NiceTreeDecomposition(_Record):
     postorder: tuple[int, ...]
 
     def __init__(
-        self, bags: Iterable[Iterable[int]], parent: tuple[int | None, ...], root: int
+        self, bags: Iterable[Iterable[int]], parent: Iterable[int | None], root: int
     ) -> None:
-        bags = tuple(tuple(sorted(set(bag))) for bag in bags)
+        bags = _canonical_bags(bags)
+        parent = tuple(parent)
         count = len(bags)
         if count == 0:
             raise ValueError("a nice tree decomposition needs at least one node")
@@ -281,12 +295,6 @@ class NiceTreeDecomposition(_Record):
     def width(self) -> int:
         return max(len(bag) for bag in self.bags) - 1
 
-    def as_decomposition(self) -> TreeDecomposition:
-        edges = tuple(
-            (min(i, p), max(i, p)) for i, p in enumerate(self.parent) if p is not None
-        )
-        return TreeDecomposition(self.bags, edges)
-
 
 def _preorder(children: Sequence[Sequence[int]], root: int) -> list[int]:
     """Nodes reachable from `root`, each before its children, the first
@@ -304,8 +312,8 @@ def validate_nice(ntd: NiceTreeDecomposition, graph: Graph) -> list[Violation]:
     """The coverage axioms, which make every graph vertex forgotten exactly
     once: a vertex lies in some bag, its bags form one subtree, and the root
     bag is empty, so that subtree's topmost node is the only child of a
-    forget of the vertex."""
-    return validate_decomposition(ntd.as_decomposition(), graph)
+    forget of the vertex.  Checked over the nice tree's own rooting."""
+    return _coverage_violations(ntd.bags, ntd.parent, ntd.postorder[::-1], graph)
 
 
 def _nice_from_skeleton(
@@ -399,13 +407,10 @@ def to_nice(
     """
     problems = validate_decomposition(td, graph)
     if problems:
-        first = problems[0]
-        raise ValueError(
-            f"not a valid tree decomposition ({first.axiom}: {first.detail})"
-        )
+        raise ValueError(f"not a valid tree decomposition ({': '.join(problems[0])})")
     if not (0 <= root_bag < len(td.bags)):
         raise ValueError(f"root bag {root_bag} does not exist")
-    parent, order = _root_skeleton(td, root_bag)
+    parent, order = _root_skeleton(len(td.bags), td.tree_edges, root_bag)
     return _nice_from_skeleton(td.bags, parent, reversed(order))
 
 

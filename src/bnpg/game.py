@@ -100,7 +100,8 @@ class _Record:
 class Graph(_Record):
     """Immutable undirected graph on players 0..player_count-1.
 
-    Edges are canonical (u < v) pairs; self-loops and duplicates are rejected.
+    Edges are canonical (u < v) pairs, kept as a frozenset; self-loops are
+    rejected, and `from_edges` also rejects duplicates.
     `==`, `hash` and `repr` mean the player count and the edges; the
     adjacency sets derived from them take no part.
     """
@@ -111,9 +112,10 @@ class Graph(_Record):
     player_count: int
     edges: frozenset[tuple[int, int]]
 
-    def __init__(self, player_count: int, edges: frozenset[tuple[int, int]]) -> None:
+    def __init__(self, player_count: int, edges: Iterable[tuple[int, int]]) -> None:
         if player_count < 0:
             raise ValueError("player_count must be >= 0")
+        edges = frozenset(edges)
         adj: list[set[int]] = [set() for _ in range(player_count)]
         for u, v in edges:
             if not (0 <= u < player_count and 0 <= v < player_count):

@@ -42,30 +42,19 @@ from .report import SolveReport, SolveStatus
 
 
 def prepare_decomposition(
-    game: Game,
-    decomposition: "TreeDecomposition | NiceTreeDecomposition | None" = None,
+    game: Game, decomposition: "TreeDecomposition | NiceTreeDecomposition"
 ) -> NiceTreeDecomposition:
-    """Produce a validated nice decomposition for this game's graph.
+    """A validated nice decomposition from a given one, for this game's graph.
 
-    None builds the nice form straight from the min-fill elimination order,
-    rooted at the last eliminated vertex (`elimination.nice_from_elimination`,
-    which says why that root), with no validation or re-derivation.  A plain
-    decomposition is converted by `to_nice`, which validates it; both go
-    through the one nice-form builder.  A nice one is validated as-is.
-    Invalid input raises ValueError naming the first broken property.
+    A plain decomposition is converted by `to_nice`, which validates it; a
+    nice one is validated as-is.  Invalid input raises ValueError naming
+    the first broken property.  With none given, `_solve` builds the nice
+    form from the min-fill order itself.
     """
-    if decomposition is None:
-        # imported here, not at the top, so that `import bnpg.cli` does not load it
-        from .elimination import elimination_order, nice_from_elimination
-
-        return nice_from_elimination(*elimination_order(game.graph, "min_fill"))
     if isinstance(decomposition, NiceTreeDecomposition):
         problems = validate_nice(decomposition, game.graph)
         if problems:
-            first = problems[0]
-            raise ValueError(
-                f"not a valid nice tree decomposition ({first.axiom}: {first.detail})"
-            )
+            raise ValueError(f"not a valid nice tree decomposition ({': '.join(problems[0])})")
         return decomposition
     return to_nice(decomposition, game.graph)
 
@@ -270,7 +259,8 @@ def _solve(
     """One sweep over `tabulate(game)`, then one replay from the root's
     empty-bag state.  A root without that state has no equilibrium; a
     welfare root always has it, and holds the optimum there.  With no
-    decomposition given, a min-fill width past `width_cap` answers
+    decomposition given, this is the one place that builds the nice form
+    from the min-fill order: a width past `width_cap` answers
     NOT_APPLICABLE before any nice node is built."""
     started = time.perf_counter()
     if decomposition is None:

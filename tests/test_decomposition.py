@@ -7,9 +7,12 @@ import time
 import pytest
 
 from bnpg.decomposition import (
+    HEURISTICS,
     NiceTreeDecomposition,
     TreeDecomposition,
     Violation,
+    _nice_from_skeleton,
+    _root_skeleton,
     heuristic_decomposition,
     read_pace,
     to_nice,
@@ -342,6 +345,57 @@ def test_nice_join_nodes_appear_for_branching_bags():
     assert validate_nice(ntd, g) == []
 
 
+def test_both_forms_refuse_a_negative_vertex():
+    """The coverage check indexes each vertex's bags in a list, where -1
+    would quietly read the last vertex's, so both constructors refuse it."""
+    with pytest.raises(ValueError, match=r"^negative vertex -1 in a bag$"):
+        TreeDecomposition(((), (-1,), ()), ((0, 1), (1, 2)))
+    with pytest.raises(ValueError, match=r"^negative vertex -1 in a bag$"):
+        NiceTreeDecomposition(((), (-1,), ()), (1, 2, None), 2)
+
+
+def _as_plain(ntd):
+    """The nice form's bags joined by its parent edges, as a plain decomposition."""
+    return TreeDecomposition(ntd.bags, [(i, p) for i, p in enumerate(ntd.parent) if p is not None])
+
+
+def _nice_corpus():
+    """Nice forms of random graphs' decompositions at a random root, valid
+    ones and ones with a vertex dropped from one bag, each paired with its
+    graph, a larger graph with more vertices and edges, and a smaller one
+    that leaves some bag vertices foreign."""
+    rng = random.Random(43)
+    for _ in range(100):
+        n = rng.randrange(1, 12)
+        graph = gnp_graph(n, rng.choice((0.2, 0.4, 0.7)), rng)
+        td = heuristic_decomposition(graph, rng.choice(HEURISTICS))
+        bags = list(td.bags)
+        i = rng.choice([i for i, bag in enumerate(bags) if bag])
+        dropped = rng.choice(bags[i])
+        bags[i] = tuple(v for v in bags[i] if v != dropped)
+        parent, order = _root_skeleton(len(bags), td.tree_edges, rng.randrange(len(bags)))
+        broken = _nice_from_skeleton(bags, parent, reversed(order))
+        larger = n + rng.randrange(0, 3)
+        more = Graph.from_edges(larger, graph.edges | gnp_graph(larger, 0.15, rng).edges)
+        fewer = rng.randrange(0, n)
+        less = Graph.from_edges(fewer, [e for e in graph.edges if e[1] < fewer])
+        for nice in (to_nice(td, graph, rng.randrange(len(td.bags))), broken):
+            for g in (graph, more, less):
+                yield nice, g
+
+
+def test_validate_nice_reads_the_same_violations_from_its_own_rooting():
+    """`validate_nice` checks the nice tree as rooted; the plain form of the
+    same tree, rooted at node 0, gives the same violations in the same
+    order, because which bags group together does not depend on the root."""
+    axioms = set()
+    for ntd, graph in _nice_corpus():
+        violations = validate_nice(ntd, graph)
+        assert violations == validate_decomposition(_as_plain(ntd), graph)
+        axioms.update(v.axiom for v in violations)
+    assert axioms == {"vertex-cover", "edge-cover", "connectivity"}
+
+
 def _builder_corpus():
     """Seeded games of five families, n = 0, 1 and 2 among them, and
     graphs with isolated vertices or several components."""
@@ -373,8 +427,8 @@ def test_elimination_builder_agrees_with_the_checked_constructor():
     children (a join's in index order, which the sweep's tie-breaks
     follow), distinguished vertices and postorder.  Each is valid and as
     wide as the decomposition it came from, and the one from the order
-    answers the same after a pickle round trip, which goes through
-    `__init__`."""
+    answers as the solvers' own min-fill path does, and the same after a
+    pickle round trip, which goes through `__init__`."""
     rng = random.Random(41)
     for game in _builder_corpus():
         graph = game.graph
@@ -390,7 +444,7 @@ def test_elimination_builder_agrees_with_the_checked_constructor():
                 assert getattr(nice, field) == getattr(checked, field), field
             assert validate_nice(nice, graph) == []
             assert nice.width() == td.width()
-        assert prepare_decomposition(game) == ntd
+        assert _answers(game, None) == _answers(game, ntd)
         copy = pickle.loads(pickle.dumps(ntd))
         assert copy == ntd
         assert _answers(game, copy) == _answers(game, ntd)

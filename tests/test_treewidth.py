@@ -73,7 +73,7 @@ def test_result_does_not_depend_on_the_decomposition():
         g = gnp_graph(rng.randrange(2, 10), 0.4, rng)
         game = random_game(g, rng)
         variants = [
-            prepare_decomposition(game),
+            None,
             prepare_decomposition(game, heuristic_decomposition(g, "min_degree")),
         ]
         td = heuristic_decomposition(g)
