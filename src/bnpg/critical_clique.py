@@ -7,10 +7,9 @@ that graph is a forest the dynamic programs in `ccforest` apply.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import NamedTuple
 
-from .game import Graph
+from .game import Graph, root_walk
 
 
 class CriticalCliqueGraph(NamedTuple):
@@ -25,10 +24,6 @@ class CriticalCliqueGraph(NamedTuple):
     cliques: tuple[tuple[int, ...], ...]
     clique_of: tuple[int, ...]
     edges: frozenset[tuple[int, int]]
-
-    def clique_graph(self) -> Graph:
-        """The contracted graph over clique indices."""
-        return Graph(len(self.cliques), self.edges)
 
 
 def build_cc_graph(graph: Graph) -> CriticalCliqueGraph:
@@ -72,35 +67,20 @@ class RootedForest(NamedTuple):
 def rooted_forest(cc: CriticalCliqueGraph) -> RootedForest:
     """Root each tree of the clique forest at its lowest clique index.
 
-    Raises ValueError when the clique graph is not a forest.  The graph is
-    built once; the search that roots it also counts its components.
+    Raises ValueError when the clique graph is not a forest: when it has
+    more edges than its cliques less one per tree `root_walk` grows.
     """
-    cg = cc.clique_graph()
-    t = cg.player_count
-    parent: list[int | None] = [None] * t
-    children: list[list[int]] = [[] for _ in range(t)]
-    roots: list[int] = []
-    seen = [False] * t
-    order: list[int] = []  # breadth-first, so every parent precedes its children
-    for start in range(t):
-        if seen[start]:
-            continue
-        roots.append(start)
-        seen[start] = True
-        queue = deque([start])
-        while queue:
-            node = queue.popleft()
-            order.append(node)
-            for nb in sorted(cg.neighbors(node)):
-                if not seen[nb]:
-                    seen[nb] = True
-                    parent[nb] = node
-                    children[node].append(nb)
-                    queue.append(nb)
-    if len(cg.edges) != t - len(roots):
+    t = len(cc.cliques)
+    parent, order = root_walk(t, sorted(cc.edges), range(t))
+    roots = tuple(k for k in order if parent[k] is None)
+    if len(cc.edges) != t - len(roots):
         raise ValueError("critical clique graph is not a forest")
+    children: list[list[int]] = [[] for _ in range(t)]
+    for k, up in enumerate(parent):
+        if up is not None:
+            children[up].append(k)
     return RootedForest(
-        tuple(roots),
+        roots,
         tuple(parent),
         tuple(tuple(c) for c in children),
         tuple(reversed(order)),

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Sequence
 
-from .game import Graph, _Record
+from .game import Graph, _Record, root_walk
 from .instance_io import ParseError
 
 HEURISTICS = ("min_fill", "min_degree")
@@ -42,8 +42,9 @@ class TreeDecomposition(_Record):
 
     `bags[i]` is a sorted vertex tuple; `tree_edges` hold bag indices with
     u < v.  The skeleton must be a tree, checked by rooting it at bag 0; the
-    rooting is kept, outside `==` and `hash`, for `validate_decomposition`,
-    where the three coverage axioms, which depend on a graph, live.
+    rooting is kept, outside `==` and `hash`, for `to_nice` and for
+    `validate_decomposition`, where the three coverage axioms, which depend
+    on a graph, live.
     """
 
     __slots__ = ("bags", "tree_edges", "_rooting")
@@ -74,7 +75,7 @@ class TreeDecomposition(_Record):
             )
         tree_edges = tuple(sorted(canon))
         # connectivity of the skeleton (with the right edge count => a tree)
-        rooting = _root_skeleton(len(bags), tree_edges, 0)
+        rooting = root_walk(len(bags), tree_edges, (0,))
         if len(rooting[1]) != len(bags):
             raise ValueError("tree edges do not connect all bags")
         object.__setattr__(self, "bags", bags)
@@ -83,33 +84,6 @@ class TreeDecomposition(_Record):
 
     def width(self) -> int:
         return max(len(bag) for bag in self.bags) - 1
-
-
-def _root_skeleton(
-    count: int, tree_edges: Sequence[tuple[int, int]], root: int
-) -> tuple[list[int | None], list[int]]:
-    """Each bag's parent with the skeleton rooted at `root` (None there and
-    at bags it cannot reach), and the reached bags in preorder.  Sorted
-    `tree_edges`, u < v in each, push a bag's neighbors in ascending index;
-    reversed, a postorder that finishes a bag's children in that order."""
-    adj: list[list[int]] = [[] for _ in range(count)]
-    for u, v in tree_edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    parent: list[int | None] = [None] * count
-    seen = [False] * count
-    seen[root] = True
-    order: list[int] = []
-    stack = [root]
-    while stack:
-        b = stack.pop()
-        order.append(b)
-        for nb in adj[b]:
-            if not seen[nb]:
-                seen[nb] = True
-                parent[nb] = b
-                stack.append(nb)
-    return parent, order
 
 
 def validate_decomposition(td: TreeDecomposition, graph: Graph) -> list[Violation]:
@@ -399,18 +373,18 @@ def to_nice(
     td: TreeDecomposition, graph: Graph, root_bag: int = 0
 ) -> NiceTreeDecomposition:
     """Convert a valid decomposition to nice form without widening any bag:
-    `_nice_from_skeleton` on the skeleton rooted at `root_bag`, a bag's
-    children joined in ascending index.  This serves user decompositions
-    (`--td`) and acceptance check 8; with none given, the solvers build the
-    nice form from the min-fill order instead, rooted where it pays (see
-    `elimination.nice_from_elimination`).
+    `_nice_from_skeleton` on the skeleton rooted at `root_bag` (at bag 0,
+    the rooting `td` keeps), a bag's children joined in ascending index.
+    This serves user decompositions (`--td`) and acceptance check 8; with
+    none given, the solvers build the nice form from the min-fill order
+    instead, rooted where it pays (see `elimination.nice_from_elimination`).
     """
     problems = validate_decomposition(td, graph)
     if problems:
         raise ValueError(f"not a valid tree decomposition ({': '.join(problems[0])})")
     if not (0 <= root_bag < len(td.bags)):
         raise ValueError(f"root bag {root_bag} does not exist")
-    parent, order = _root_skeleton(len(td.bags), td.tree_edges, root_bag)
+    parent, order = root_walk(len(td.bags), td.tree_edges, (root_bag,)) if root_bag else td._rooting
     return _nice_from_skeleton(td.bags, parent, reversed(order))
 
 

@@ -155,6 +155,38 @@ class Graph(_Record):
         return v in self._adj[u]
 
 
+def root_walk(
+    count: int, edges: Iterable[tuple[int, int]], roots: Iterable[int]
+) -> tuple[list[int | None], list[int]]:
+    """Root the nodes 0..count-1 of `edges`, one tree from each of `roots`
+    that no earlier root reached: each node's parent (None at a root and at
+    a node no root reaches), and the reached nodes, each after its parent.
+    Sorted `edges`, u < v in each, push a node's neighbors in ascending
+    index; reversed, a postorder that finishes a node's children in that
+    order."""
+    adj: list[list[int]] = [[] for _ in range(count)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    parent: list[int | None] = [None] * count
+    seen = [False] * count
+    order: list[int] = []
+    for root in roots:
+        if seen[root]:
+            continue
+        seen[root] = True
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            order.append(node)
+            for nb in adj[node]:
+                if not seen[nb]:
+                    seen[nb] = True
+                    parent[nb] = node
+                    stack.append(nb)
+    return parent, order
+
+
 def _pair(value: Rational, v: int, what: str) -> Pair:
     if isinstance(value, str):
         try:

@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 from itertools import repeat
 
+from bnpg.critical_clique import CriticalCliqueGraph
 from bnpg.decomposition import TreeDecomposition
 from bnpg.game import Game, Graph, Profile, usw
 
@@ -156,6 +157,11 @@ def best_shot_game(graph: Graph, cost: Fraction = Fraction(1, 2)) -> Game:
         for v in range(graph.player_count)
     ]
     return Game(graph, ext, [cost] * graph.player_count)
+
+
+def clique_graph(cc: CriticalCliqueGraph) -> Graph:
+    """The contracted graph over clique indices."""
+    return Graph(len(cc.cliques), cc.edges)
 
 
 def nx_graph(graph: Graph):

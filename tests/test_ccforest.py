@@ -18,7 +18,7 @@ from bnpg.ccforest import (
     solve_psne_ccforest,
     solve_usw_ccforest,
 )
-from bnpg.critical_clique import CriticalCliqueGraph, build_cc_graph, is_forest
+from bnpg.critical_clique import build_cc_graph, is_forest
 from bnpg.game import Game, Graph, Profile, esw, is_psne, lesser, stability_rows, usw
 from bnpg.instance_io import GameSpec, gen_random_game
 from bnpg.oracle import enum_psne, max_esw, max_usw
@@ -313,22 +313,23 @@ def test_each_solve_makes_one_sweep(solve, monkeypatch):
 
 
 @pytest.mark.parametrize("solve", [solve_psne_ccforest, solve_usw_ccforest, solve_esw_ccforest])
-def test_clique_graph_is_built_once_per_solve(solve, monkeypatch):
-    calls = []
-    original = CriticalCliqueGraph.clique_graph
-
-    def counted(self):
-        calls.append(1)
-        return original(self)
-
-    monkeypatch.setattr(CriticalCliqueGraph, "clique_graph", counted)
+def test_a_solve_of_a_built_game_makes_no_graph(solve, monkeypatch):
+    """The clique forest is rooted from its edge set: no contracted `Graph`
+    is built, and validated, per solve, on a forest or on a cycle."""
     rng = random.Random(112)
     forest = random_game(random_tree(9, rng), rng)
-    assert solve(forest).status is not SolveStatus.NOT_APPLICABLE
-    assert len(calls) == 1
     cyclic = random_game(cycle_graph(5), rng)
+    built = []
+    original = Graph.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "__init__", counted)
+    assert solve(forest).status is not SolveStatus.NOT_APPLICABLE
     assert solve(cyclic).status is SolveStatus.NOT_APPLICABLE
-    assert len(calls) == 2
+    assert built == []
 
 
 def test_answers_and_entry_counts_are_pinned():

@@ -9,6 +9,7 @@ from bnpg.critical_clique import build_cc_graph, is_forest, rooted_forest
 from bnpg.game import Graph
 
 from helpers import (
+    clique_graph,
     complete_graph,
     cycle_graph,
     gnp_graph,
@@ -145,14 +146,6 @@ def test_rooted_forest_runs_one_tree_per_component():
             assert position[k] < position[parent]
 
 
-def test_clique_graph_view_matches_edges():
-    g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
-    cc = build_cc_graph(g)
-    quotient = cc.clique_graph()
-    assert quotient.player_count == len(cc.cliques)
-    assert quotient.edges == cc.edges
-
-
 def forest_check_corpus():
     """Seeded trees, twin trees, cycles and gnp graphs, some of them
     forests with several components and some not forests at all."""
@@ -169,7 +162,7 @@ def forest_check_corpus():
 def test_the_one_forest_check_agrees_with_networkx():
     for g in forest_check_corpus():
         cc = build_cc_graph(g)
-        quotient = nx_graph(cc.clique_graph())
+        quotient = nx_graph(clique_graph(cc))
         forest = nx.is_forest(quotient)
         assert is_forest(cc) == forest
         if not forest:
@@ -178,3 +171,13 @@ def test_the_one_forest_check_agrees_with_networkx():
             continue
         rf = rooted_forest(cc)
         assert len(rf.roots) == nx.number_connected_components(quotient)
+        # each tree hangs from its lowest clique, as a search from there finds it
+        parent = [None] * len(cc.cliques)
+        for component in nx.connected_components(quotient):
+            for k, up in nx.bfs_predecessors(quotient, min(component)):
+                parent[k] = up
+        assert rf.parent == tuple(parent)
+        assert all(list(kids) == sorted(kids) for kids in rf.children)
+        position = {k: i for i, k in enumerate(rf.postorder)}
+        assert sorted(position) == list(range(len(cc.cliques)))
+        assert all(up is None or position[k] < position[up] for k, up in enumerate(rf.parent))

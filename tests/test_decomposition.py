@@ -12,7 +12,6 @@ from bnpg.decomposition import (
     TreeDecomposition,
     Violation,
     _nice_from_skeleton,
-    _root_skeleton,
     heuristic_decomposition,
     read_pace,
     to_nice,
@@ -21,7 +20,7 @@ from bnpg.decomposition import (
     write_pace,
 )
 from bnpg.elimination import elimination_order, nice_from_elimination
-from bnpg.game import Game, Graph
+from bnpg.game import Game, Graph, root_walk
 from bnpg.instance_io import GameSpec, ParseError, gen_random_game
 from bnpg.treewidth import (
     prepare_decomposition,
@@ -294,6 +293,10 @@ def test_to_nice_preserves_width_and_validates():
         ntd = to_nice(td, g, root_bag=root)
         assert ntd.width() == td.width()
         assert validate_nice(ntd, g) == []
+        # at bag 0, the rooting the decomposition keeps, read and left as it was
+        parent, order = root_walk(len(td.bags), td.tree_edges, (0,))
+        assert to_nice(td, g) == _nice_from_skeleton(td.bags, parent, reversed(order))
+        assert td._rooting == (parent, order)
 
 
 def test_to_nice_rejects_invalid_input():
@@ -373,7 +376,7 @@ def _nice_corpus():
         i = rng.choice([i for i, bag in enumerate(bags) if bag])
         dropped = rng.choice(bags[i])
         bags[i] = tuple(v for v in bags[i] if v != dropped)
-        parent, order = _root_skeleton(len(bags), td.tree_edges, rng.randrange(len(bags)))
+        parent, order = root_walk(len(bags), td.tree_edges, (rng.randrange(len(bags)),))
         broken = _nice_from_skeleton(bags, parent, reversed(order))
         larger = n + rng.randrange(0, 3)
         more = Graph.from_edges(larger, graph.edges | gnp_graph(larger, 0.15, rng).edges)
