@@ -21,6 +21,22 @@ add.  The two subtrees of a join settle disjoint vertex sets, so counts and
 objectives never double, and a summed count stays at most the vertex's
 degree: it fits in its W - 1 count bits and never carries into the next
 field.
+
+The welfare sweeps are pruned against an incumbent, branch-and-bound inside
+the DP (Morin & Marsten, Oper. Res. 24(4), 1976).  `_incumbent` is the
+welfare of a real profile, the better of two one-flip passes in O(n + m),
+so the optimum is at least it.  Each forget or join may then drop a state
+whose value is below the node's floor, since no completion of it reaches
+the incumbent:
+- ESW: the floor is the incumbent, checked at forgets only.  A running
+  minimum only falls, and a join's min of two states that passed passes.
+- USW: the floor is the incumbent less the best payoff of every player not
+  settled in the node's subtree, checked at forgets and joins.
+A state is dropped only when its value is strictly below the floor.  On
+an optimal profile, a state's running minimum (ESW), or its value plus the
+best of the rest (USW), is at least the optimum, which is at least the
+incumbent.  So that state survives, the root holds the same optimum, and
+`_replay` finds a witness in the kept tables.  PSNE has no floor.
 """
 
 from __future__ import annotations
@@ -85,6 +101,7 @@ def _sweep(
     contribution: list,
     combine: Callable,
     identity,
+    floors: list | None,
 ) -> list[dict]:
     """One bottom-up pass; returns the tables and nothing else.
 
@@ -96,6 +113,11 @@ def _sweep(
     fixes, and a key keeps the first child state (forget) or pair (join,
     left then right) that reaches its best, so `_replay` can find that same
     witness again and ties break the same way on every run.
+
+    With `floors` (welfare only, whose rows hold no None), every forget
+    drops a new value strictly below `floors[i]`, and so does every join
+    whose `floors[i]` is not None.  Without them (PSNE) no loop pays a
+    compare.
     """
     graph = game.graph
     width = _field_width(graph)
@@ -122,35 +144,65 @@ def _sweep(
             below = (1 << shift) - 1
             above = shift + width
             rows = contribution[ntd.distinguished[i]]
-            for key, val in tables[ntd.children[i][0]].items():
-                own = (key >> shift) & field
-                invests = own & 1
-                k = (own >> 1) + (key & nbr_invest).bit_count() + invests
-                adds = rows[invests][k]
-                if adds is None:
-                    continue
-                new_val = combine(val, adds)
-                new_key = (key & below) | ((key >> above) << shift)
-                if invests:
-                    new_key += bump
-                old = table.get(new_key)
-                if old is None or new_val > old:
-                    table[new_key] = new_val
+            child = tables[ntd.children[i][0]]
+            if floors is None:
+                for key, val in child.items():
+                    own = (key >> shift) & field
+                    invests = own & 1
+                    k = (own >> 1) + (key & nbr_invest).bit_count() + invests
+                    adds = rows[invests][k]
+                    if adds is None:
+                        continue
+                    new_val = combine(val, adds)
+                    new_key = (key & below) | ((key >> above) << shift)
+                    if invests:
+                        new_key += bump
+                    old = table.get(new_key)
+                    if old is None or new_val > old:
+                        table[new_key] = new_val
+            else:
+                # payoff rows hold no None: the floor is the only drop
+                floor = floors[i]
+                for key, val in child.items():
+                    own = (key >> shift) & field
+                    invests = own & 1
+                    k = (own >> 1) + (key & nbr_invest).bit_count() + invests
+                    new_val = combine(val, rows[invests][k])
+                    if new_val < floor:
+                        continue
+                    new_key = (key & below) | ((key >> above) << shift)
+                    if invests:
+                        new_key += bump
+                    old = table.get(new_key)
+                    if old is None or new_val > old:
+                        table[new_key] = new_val
         else:  # join
             left, right = ntd.children[i]
             investing = sum(1 << (p * width) for p in range(len(bags[i])))
             grouped: dict[int, list] = {}
             for key, val in tables[right].items():
                 grouped.setdefault(key & investing, []).append((key & ~investing, val))
+            floor = None if floors is None else floors[i]
             for key_l, val_l in tables[left].items():
-                for counts_r, val_r in grouped.get(key_l & investing, ()):
-                    # both sides carry the same invest bits; the counts add
-                    # field by field without carries
-                    new_key = key_l + counts_r
-                    new_val = combine(val_l, val_r)
-                    old = table.get(new_key)
-                    if old is None or new_val > old:
-                        table[new_key] = new_val
+                pairs = grouped.get(key_l & investing, ())
+                if floor is None:
+                    for counts_r, val_r in pairs:
+                        # both sides carry the same invest bits; the counts
+                        # add field by field without carries
+                        new_key = key_l + counts_r
+                        new_val = combine(val_l, val_r)
+                        old = table.get(new_key)
+                        if old is None or new_val > old:
+                            table[new_key] = new_val
+                else:
+                    for counts_r, val_r in pairs:
+                        new_val = combine(val_l, val_r)
+                        if new_val < floor:
+                            continue
+                        new_key = key_l + counts_r
+                        old = table.get(new_key)
+                        if old is None or new_val > old:
+                            table[new_key] = new_val
         tables[i] = table
     return tables
 
@@ -248,6 +300,90 @@ def _payoff_rows(game: Game) -> list:
     return [(g, tuple(x - c for x in g)) for g, c in zip(game.scaled_ext, game.scaled_cost)]
 
 
+def _incumbent(game: Game, rows: list, egalitarian: bool) -> int:
+    """A welfare that one profile reaches: the better of two one-flip
+    passes, from all-abstain and from all-invest.
+
+    A pass visits the players once, in order, and flips v when that helps:
+    USW when the payoffs of N[v] gain in sum, ESW when their minimum rises.
+    A flip changes no payoff outside N[v], so the welfare never falls, and
+    an ESW pass ends at or above its starting minimum.  Closed-neighbour
+    counts and payoffs are kept up to date, so a pass costs O(n + m).
+    """
+    graph = game.graph
+    n = graph.player_count
+    nbrs = [graph.neighbors(v) for v in range(n)]
+    best = None
+    for start in (0, 1):
+        flip = 1 - start
+        step = flip - start  # the count change a flip makes in N[v]
+        invests = [start] * n
+        counts = [start * (len(a) + 1) for a in nbrs]
+        pay = [r[start][k] for r, k in zip(rows, counts)]
+        for v in range(n):
+            new_own = rows[v][flip][counts[v] + step]
+            if egalitarian:
+                old = pay[v]
+                new = new_own
+                for u in nbrs[v]:
+                    p = pay[u]
+                    if p < old:
+                        old = p
+                    p = rows[u][invests[u]][counts[u] + step]
+                    if p < new:
+                        new = p
+                better = new > old
+            else:
+                gain = new_own - pay[v]
+                for u in nbrs[v]:
+                    gain += rows[u][invests[u]][counts[u] + step] - pay[u]
+                better = gain > 0
+            if better:
+                invests[v] = flip
+                counts[v] += step
+                pay[v] = new_own
+                for u in nbrs[v]:
+                    counts[u] += step
+                    pay[u] = rows[u][invests[u]][counts[u]]
+        value = min(pay) if egalitarian else sum(pay)
+        if best is None or value > best:
+            best = value
+    return best
+
+
+def _usw_floors(game: Game, ntd: NiceTreeDecomposition, rows: list) -> list:
+    """Per node, the value below which a USW state cannot reach the
+    incumbent: even if every player not yet settled in its subtree got its
+    best payoff, the sum would fall short.  None at leaves and introduces,
+    which settle no one."""
+    # the largest payoff v can realize: abstaining with k <= deg investors,
+    # or investing with k >= 1
+    best = [max(max(a[:-1]), max(b[1:])) for a, b in rows]
+    need = _incumbent(game, rows, False) - sum(best)
+    kinds, children = ntd.kinds, ntd.children
+    settled = [0] * len(kinds)
+    floors: list = [None] * len(kinds)
+    for i in ntd.postorder:
+        kind = kinds[i]
+        if kind == "introduce":
+            settled[i] = settled[children[i][0]]
+        elif kind == "forget":
+            settled[i] = total = settled[children[i][0]] + best[ntd.distinguished[i]]
+            floors[i] = need + total
+        elif kind == "join":
+            left, right = children[i]
+            settled[i] = total = settled[left] + settled[right]
+            floors[i] = need + total
+    return floors
+
+
+def _esw_floors(game: Game, ntd: NiceTreeDecomposition, rows: list) -> list:
+    """The incumbent at every forget: a running minimum only falls.  None
+    elsewhere, since a join's min of two states that passed stays above."""
+    incumbent = _incumbent(game, rows, True)
+    return [incumbent if kind == "forget" else None for kind in ntd.kinds]
+
+
 def _solve(
     game: Game,
     decomposition: "TreeDecomposition | NiceTreeDecomposition | None",
@@ -255,8 +391,10 @@ def _solve(
     tabulate: Callable,
     combine: Callable,
     identity,
+    bound: Callable | None,
 ) -> SolveReport:
-    """One sweep over `tabulate(game)`, then one replay from the root's
+    """One sweep over `tabulate(game)`, pruned below the floors that
+    `bound` builds (None for PSNE), then one replay from the root's
     empty-bag state.  A root without that state has no equilibrium; a
     welfare root always has it, and holds the optimum there.  With no
     decomposition given, this is the one place that builds the nice form
@@ -279,7 +417,8 @@ def _solve(
     else:
         ntd = prepare_decomposition(game, decomposition)
     contribution = tabulate(game)
-    tables = _sweep(game, ntd, contribution, combine, identity)
+    floors = None if bound is None else bound(game, ntd, contribution)
+    tables = _sweep(game, ntd, contribution, combine, identity, floors)
     root = tables[ntd.root]
     found = 0 in root
     return SolveReport(
@@ -299,7 +438,7 @@ def solve_psne_treewidth(
     width_cap: int | None = None,
 ) -> SolveReport:
     """Find a pure Nash equilibrium, or prove none exists."""
-    return _solve(game, decomposition, width_cap, stability_rows, operator.and_, True)
+    return _solve(game, decomposition, width_cap, stability_rows, operator.and_, True, None)
 
 
 def solve_usw_treewidth(
@@ -308,7 +447,7 @@ def solve_usw_treewidth(
     width_cap: int | None = None,
 ) -> SolveReport:
     """Maximize the sum of payoffs (the organizer dictates every action)."""
-    return _solve(game, decomposition, width_cap, _payoff_rows, operator.add, 0)
+    return _solve(game, decomposition, width_cap, _payoff_rows, operator.add, 0, _usw_floors)
 
 
 def solve_esw_treewidth(
@@ -321,8 +460,10 @@ def solve_esw_treewidth(
     A leaf holds infinity, the identity for min; forgets and joins take the
     min, each key keeps the max, and both are monotone, so the root holds
     the exact max-min.  Every player settles below the root, so the value
-    is a payoff, never infinity.
+    is a payoff, never infinity.  A forget drops a state whose min is
+    strictly below the incumbent, the max-min of a one-flip pass: the min
+    only falls, and the optimum is at least the incumbent.
     """
     if game.player_count == 0:
         raise ValueError("egalitarian welfare is undefined for a zero-player game")
-    return _solve(game, decomposition, width_cap, _payoff_rows, lesser, math.inf)
+    return _solve(game, decomposition, width_cap, _payoff_rows, lesser, math.inf, _esw_floors)

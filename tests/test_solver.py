@@ -99,6 +99,30 @@ def test_auto_runs_min_fill_once_and_builds_without_checks(width_cap, monkeypatc
     assert len(calls) == len(QUESTIONS)
 
 
+def test_auto_past_the_width_cap_builds_no_incumbent(monkeypatch):
+    """A game `auto` sends past the treewidth DP pays nothing for its
+    pruning: no payoff rows and no incumbent."""
+    import bnpg.treewidth
+
+    calls = []
+
+    def refused(name):
+        def record(*args):
+            calls.append(name)
+            raise AssertionError(f"{name} ran past the width cap")
+
+        return record
+
+    monkeypatch.setattr(bnpg.treewidth, "_payoff_rows", refused("_payoff_rows"))
+    monkeypatch.setattr(bnpg.treewidth, "_incumbent", refused("_incumbent"))
+    game = best_shot_game(cycle_graph(6))
+    for question in QUESTIONS:
+        assert solve(game, question, width_cap=0).algorithm == "brute"
+    assert calls == []
+    with pytest.raises(AssertionError, match="_payoff_rows ran"):
+        solve(game, "usw", width_cap=2)  # within the cap the patch is reached
+
+
 def test_auto_with_a_decomposition_runs_treewidth_on_it():
     game = best_shot_game(random_tree(6, random.Random(2)))  # a forest all the same
     one_bag = TreeDecomposition((tuple(range(6)),), ())  # wider than min-fill's

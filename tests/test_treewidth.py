@@ -7,11 +7,12 @@ import pytest
 
 from bnpg.ccforest import solve_psne_ccforest, solve_usw_ccforest, solve_esw_ccforest
 from bnpg.decomposition import heuristic_decomposition, to_nice
-from bnpg.game import Game, Graph, is_psne, usw, esw
+from bnpg.game import Game, Graph, Profile, is_psne, usw, esw
 from bnpg.instance_io import GameSpec, gen_random_game
 from bnpg.oracle import enum_psne, max_usw, max_esw
 from bnpg.report import SolveStatus
 from bnpg.solver import solve
+from bnpg import treewidth
 from bnpg.treewidth import (
     prepare_decomposition,
     solve_psne_treewidth,
@@ -335,11 +336,12 @@ def test_hub_of_a_40_leaf_star_matches_ccforest():
 
 def test_state_counts_are_pinned():
     """Table entries on one width-2 hub game: an encoding of the states
-    that merged or split any of them would move these counts."""
+    that merged or split any of them would move these counts, and so would
+    another incumbent or floor in the welfare sweeps."""
     game = gen_random_game(GameSpec("bounded_tw", n=40, width=2, seed=7))
     assert solve_psne_treewidth(game).table_entries == 1223
-    assert solve_usw_treewidth(game).table_entries == 9057
-    assert solve_esw_treewidth(game).table_entries == 9057
+    assert solve_usw_treewidth(game).table_entries == 6838
+    assert solve_esw_treewidth(game).table_entries == 5535
 
 
 def _answers(game, algo):
@@ -409,3 +411,83 @@ def test_witnesses_are_pinned():
             report = solve_welfare(game, decomposition)
             assert report.value == value
             assert report.profile.investing == frozenset(profile)
+
+
+def _welfare_scores(game):
+    """The scaled USW and ESW of every profile."""
+    n = game.player_count
+    profiles = [Profile(frozenset(v for v in range(n) if mask >> v & 1)) for mask in range(1 << n)]
+    return (
+        {usw(game, p) * game.scale for p in profiles},
+        {esw(game, p) * game.scale for p in profiles},
+    )
+
+
+def test_incumbent_is_the_welfare_of_a_profile():
+    """The incumbent is the USW or ESW of some profile, so it never exceeds
+    the optimum: a floor built on it drops no optimal state."""
+    rng = random.Random(140)
+    games = [random_game(gnp_graph(rng.randrange(1, 10), 0.4, rng), rng) for _ in range(20)]
+    games += [random_game(cycle_graph(n), rng, monotone=True) for n in range(3, 10)]
+    games += [
+        gen_random_game(GameSpec("bounded_tw", n=10, width=2, seed=seed, g_mode=mode))
+        for seed in range(6)
+        for mode in ("monotone", "arbitrary")
+    ]
+    for game in games:
+        rows = treewidth._payoff_rows(game)
+        usw_scores, esw_scores = _welfare_scores(game)
+        for egalitarian, scores, oracle in ((False, usw_scores, max_usw), (True, esw_scores, max_esw)):
+            incumbent = treewidth._incumbent(game, rows, egalitarian)
+            assert incumbent in scores
+            assert incumbent <= oracle(game)[1] * game.scale
+
+
+def _constant_game(graph, values):
+    """Player v's payoff is values[v] whatever anyone does: every profile
+    ties, on both welfares."""
+    return Game(
+        graph,
+        [(values[v],) * (graph.degree(v) + 2) for v in range(graph.player_count)],
+        [0] * graph.player_count,
+    )
+
+
+def _tie_heavy_games():
+    rng = random.Random(141)
+    graphs = [cycle_graph(n) for n in (3, 4, 7, 10)]
+    graphs += [
+        gen_random_game(GameSpec("bounded_tw", n=n, width=2, seed=seed)).graph
+        for n, seed in ((8, 1), (10, 2), (12, 3))
+    ]
+    games = []
+    for graph in graphs:
+        n = graph.player_count
+        games.append(_constant_game(graph, [Fraction(1)] * n))  # all payoffs tied
+        games.append(_constant_game(graph, [Fraction(rng.randint(0, 4), 2) for _ in range(n)]))
+        games.append(_constant_game(graph, [Fraction(0)] * n))
+    for seed in range(4):
+        for n in (7, 11):
+            # monotone tables at zero cost: investing everywhere is optimal,
+            # and the all-invest pass starts there
+            spec = GameSpec("bounded_tw", n=n, width=2, seed=seed, cost_mode="zero")
+            games.append(gen_random_game(spec))
+    return games
+
+
+def test_tie_heavy_games_where_the_incumbent_is_optimal():
+    """On these games the incumbent equals the optimum, so the root's state
+    sits exactly on its floor, and on constant tables every state does: a
+    floor test that dropped equality would lose the root's state."""
+    for game in _tie_heavy_games():
+        rows = treewidth._payoff_rows(game)
+        for egalitarian, solve_welfare, oracle, score in (
+            (False, solve_usw_treewidth, max_usw, usw),
+            (True, solve_esw_treewidth, max_esw, esw),
+        ):
+            best = oracle(game)[1]
+            assert treewidth._incumbent(game, rows, egalitarian) == best * game.scale
+            report = solve_welfare(game)
+            assert report.status is SolveStatus.SOLVED
+            assert report.value == best
+            assert score(game, report.profile) == best
