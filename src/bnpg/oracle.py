@@ -1,25 +1,28 @@
 """Reference brute-force solvers.
 
-Deliberately obvious exhaustive enumeration over all 2^n profiles (bitmask
-order, bit i = player i), used as the ground truth the polynomial solvers are
-validated against.  Every profile is visited, and two enumerations do it
-faster than one payoff at a time:
+Exhaustive enumeration over all 2^n profiles (bitmask order, bit i =
+player i), the ground truth the polynomial solvers are validated against.
+The masks are taken in blocks of the 2^L that share their high bits,
+L = min(8, ceil(n/2)).  A player's payoff and stability depend only on its
+key, its closed investor count plus its degree + 2 if it invests, and a
+mask's key is the sum of the keys of its two halves.  So each player's low
+halves are tabulated once by key, and a block is answered from per-player
+columns cached per high key: the meet-in-the-middle idea of Horowitz and
+Sahni (JACM 1974).
 
-- `max_esw` stops scoring a profile once some payoff is at or below the best
-  minimum found so far.  Such a profile's minimum cannot strictly beat the
-  incumbent, and only a strict improvement replaces it, so the value, the
-  witness and the smallest-bitmask tie-break are those of the full scan.
-- `max_usw` scores the masks in blocks: a block holds the 2^L masks that
-  share their high bits, L = min(8, ceil(n/2)).  With the high bits fixed, a
-  player's payoff over the block depends only on the low bits, through its
-  closed investor count among them and its own bit if that is low.  So each
-  player's column of payoffs is built once per (high count, own high bit)
-  and cached, and a block's welfares are the column sums: the same integer
-  sums the full scan makes, per mask.  Blocks run in ascending order, the
-  first maximum inside a block is taken, and it replaces the incumbent only
-  when strictly greater, so the value, the witness and the smallest-bitmask
-  tie-break are those of the full scan.  Tabulating each half of a mask
-  apart is the meet-in-the-middle idea of Horowitz and Sahni (JACM 1974).
+- PSNE (and the 3-regular search) keeps each key's low halves as a bitset
+  over the block.  A column is the union of the bitsets at whose key the
+  player is stable, and one AND of the n columns gives the block's
+  equilibria, yielded lazily in ascending order.
+- `max_esw` ANDs the columns of payoffs above the best minimum so far.
+  The lowest set bit is the next mask whose minimum strictly beats it:
+  that mask becomes the incumbent, the caches are cleared, and the block
+  is scanned again.
+- `max_usw` sums list columns of payoffs, the integers the full scan adds.
+
+Blocks run in ascending order and only a strict improvement replaces the
+incumbent, so each value, witness and smallest-bitmask tie-break is that
+of the one-mask-at-a-time scan.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple
 
-from .game import Game, Graph, Profile, is_stable
+from .game import Game, Graph, Profile, stability_rows
 
 _TIME_CHECK_STRIDE = 4096
 
@@ -52,16 +55,6 @@ def _guard(n: int, limits: OracleLimits) -> int:
     return n
 
 
-def _closed_masks(graph: Graph) -> list[int]:
-    masks = []
-    for v in range(graph.player_count):
-        m = 1 << v
-        for w in graph.neighbors(v):
-            m |= 1 << w
-        masks.append(m)
-    return masks
-
-
 def _strides(n: int, limits: OracleLimits, start: int = 0) -> Iterator[range]:
     """The masks `start` .. 2^n - 1 in ascending order, as ranges cut at the
     multiples of `_TIME_CHECK_STRIDE`.  The time budget is checked before
@@ -73,32 +66,82 @@ def _strides(n: int, limits: OracleLimits, start: int = 0) -> Iterator[range]:
         yield range(max(low, start), min(low + _TIME_CHECK_STRIDE, 1 << n))
 
 
-def _to_profile(mask: int, n: int) -> Profile:
-    return Profile(frozenset(v for v in range(n) if (mask >> v) & 1))
+def _ones(bits: int) -> Iterator[int]:
+    """The positions of the set bits of `bits`, ascending."""
+    while bits:
+        yield (bits & -bits).bit_length() - 1
+        bits &= bits - 1
+
+
+def _low_groups(steps: list[int]) -> dict[int, int]:
+    """A player's low halves by key, each group a bitset over the block:
+    low bit j copies every group 2^j places up, at a key `steps[j]` higher."""
+    groups = {0: 1}
+    for j, step in enumerate(steps):
+        moved = {key + step: group << (1 << j) for key, group in groups.items()}
+        for key, group in groups.items():
+            moved[key] = moved.get(key, 0) | group
+        groups = moved
+    return groups
+
+
+def _low_keys(steps: list[int]) -> list[int]:
+    """A player's key at each low half of the block, the same doubling."""
+    keys = [0]
+    for step in steps:
+        keys += [key + step for key in keys]
+    return keys
+
+
+def _blocks(graph: Graph, rows: Iterable[list], halves) -> tuple[int, list]:
+    """The block size 2^L, and per player its closed mask, own bit, width
+    (degree + 2), row, `halves(steps)` and column cache.  `row[key]` is the
+    player's entry at a mask of that key, the high key plus the low key;
+    low bit j raises a key by `steps[j]`."""
+    low_bits = min(8, (graph.player_count + 1) // 2)
+    players = []
+    for v, row in enumerate(rows):
+        near = 1 << v | sum(1 << w for w in graph.neighbors(v))
+        width = near.bit_count() + 1
+        steps = [(near >> j & 1) + (width if j == v else 0) for j in range(low_bits)]
+        players.append((near, 1 << v, width, row, halves(steps), {}))
+    return 1 << low_bits, players
+
+
+def _passing(players: list, high: int, acc: int, floor: int) -> int:
+    """`acc` less the lows of the block at `high` where some player's entry
+    is at or below `floor`.  A player's column, a sum of disjoint groups, is
+    cached per high key until the caller clears the caches."""
+    for near, bit, width, row, groups, cache in players:
+        key = (high & near).bit_count() + (width if high & bit else 0)
+        column = cache.get(key)
+        if column is None:
+            column = cache[key] = sum(g for low_key, g in groups.items() if row[key + low_key] > floor)
+        acc &= column
+        if not acc:
+            break
+    return acc
+
+
+def _stable_masks(
+    graph: Graph, rows: Iterable[list], limits: OracleLimits, start: int = 0
+) -> Iterator[int]:
+    """The masks from `start` up at which every player's row entry is true,
+    lazily and in ascending order: one AND of the columns settles a block."""
+    size, players = _blocks(graph, rows, _low_groups)
+    full = (1 << size) - 1
+    for stride in _strides(graph.player_count, limits, start):
+        for high in range(stride.start - stride.start % size, stride.stop, size):
+            acc = _passing(players, high, full & -1 << max(start - high, 0), 0)
+            yield from (high + low for low in _ones(acc))
 
 
 def _psne_profiles(game: Game, limits: OracleLimits) -> Iterator[Profile]:
     """Every pure Nash equilibrium, lazily, in ascending bitmask order."""
-    n = _guard(game.player_count, limits)
-    # Stability depends only on (invests, closed investor count): tabulate it
-    # per player as (v, closed mask, invest row, abstain row).
-    players = []
-    for v, near in enumerate(_closed_masks(game.graph)):
-        top = near.bit_count()
-        invest = [False] + [is_stable(game, v, True, k) for k in range(1, top + 1)]
-        abstain = [is_stable(game, v, False, k) for k in range(top)] + [True]
-        players.append((v, near, invest, abstain))
-    for stride in _strides(n, limits):
-        for mask in stride:
-            for v, near, invest, abstain in players:
-                count = (mask & near).bit_count()
-                if (mask >> v) & 1:
-                    if not invest[count]:
-                        break
-                elif not abstain[count]:
-                    break
-            else:
-                yield _to_profile(mask, n)
+    _guard(game.player_count, limits)
+    # Stability depends only on (invests, closed count): True where stable.
+    rows = ([x is True for x in a + i] for a, i in stability_rows(game))
+    return (Profile(frozenset(_ones(mask))) for mask in _stable_masks(game.graph, rows, limits))
 
 
 def enum_psne(game: Game, limits: OracleLimits = OracleLimits()) -> list[Profile]:
@@ -113,6 +156,12 @@ def first_psne(
     return next(_psne_profiles(game, limits), None)
 
 
+def _payoff_rows(game: Game) -> Iterator[list[int]]:
+    # row[k] is the payoff at closed count k and row[len(g) + k] that
+    # payoff less the cost.
+    return (list(g) + [x - c for x in g] for g, c in zip(game.scaled_ext, game.scaled_cost))
+
+
 def max_usw(
     game: Game, limits: OracleLimits = OracleLimits()
 ) -> tuple[Profile, Fraction]:
@@ -120,21 +169,10 @@ def max_usw(
     n = _guard(game.player_count, limits)
     if n == 0:
         return Profile.of(), Fraction(0)
-    low_bits = min(8, (n + 1) // 2)
-    block = range(1 << low_bits)
-    closed = _closed_masks(game.graph)
-    players = []
-    for v, near, g, c in zip(range(n), closed, game.scaled_ext, game.scaled_cost):
-        # row[k] is the payoff at closed count k and row[len(g) + k] that
-        # payoff less the cost.  A half's key is its closed count, plus
-        # len(g) if v's own bit is in it and set: a payoff is
-        # row[high key + low key].
-        row = list(g) + [x - c for x in g]
-        keys = [(low & near).bit_count() + (len(g) if low >> v & 1 else 0) for low in block]
-        players.append((near, 1 << v, len(g), row, keys, {}))
+    size, players = _blocks(game.graph, _payoff_rows(game), _low_keys)
     best_mask, best = 0, None
     for stride in _strides(n, limits):
-        for high in range(stride.start, stride.stop, len(block)):
+        for high in range(stride.start, stride.stop, size):
             columns = []
             for near, bit, width, row, keys, cache in players:
                 key = (high & near).bit_count() + (width if high & bit else 0)
@@ -147,7 +185,7 @@ def max_usw(
             if best is None or top > best:
                 best_mask, best = high + totals.index(top), top
     assert best is not None
-    return _to_profile(best_mask, n), Fraction(best, game.scale)
+    return Profile(frozenset(_ones(best_mask))), Fraction(best, game.scale)
 
 
 def max_esw(
@@ -157,24 +195,20 @@ def max_esw(
     n = _guard(game.player_count, limits)
     if n == 0:
         raise ValueError("egalitarian welfare is undefined for a zero-player game")
-    closed = _closed_masks(game.graph)
-    players = list(zip(range(n), closed, game.scaled_ext, game.scaled_cost))
+    size, players = _blocks(game.graph, _payoff_rows(game), _low_groups)
+    full = (1 << size) - 1
     # Mask 0 scores g(0) for everyone; it is the first incumbent.
     best_mask, best = 0, min(g[0] for g in game.scaled_ext)
     for stride in _strides(n, limits):
-        for mask in stride:
-            low = None
-            for v, near, g, c in players:
-                p = g[(mask & near).bit_count()]
-                if (mask >> v) & 1:
-                    p -= c
-                if p <= best:
-                    break  # this profile's minimum cannot beat the incumbent
-                if low is None or p < low:
-                    low = p
-            else:
-                best_mask, best = mask, low
-    return _to_profile(best_mask, n), Fraction(best, game.scale)
+        for high in range(stride.start, stride.stop, size):
+            # The lowest passing mask is the next strict improvement.
+            while acc := _passing(players, high, full, best):
+                best_mask = high + (acc & -acc).bit_length() - 1
+                best = min(row[(best_mask & near).bit_count() + (width if best_mask & bit else 0)]
+                           for near, bit, width, row, _, _ in players)
+                for *_, cache in players:
+                    cache.clear()
+    return Profile(frozenset(_ones(best_mask))), Fraction(best, game.scale)
 
 
 def find_3regular_induced(
@@ -182,15 +216,10 @@ def find_3regular_induced(
 ) -> frozenset[int] | None:
     """Smallest-bitmask nonempty vertex set inducing a 3-regular subgraph."""
     n = _guard(graph.player_count, limits)
-    masks = _closed_masks(graph)
-    for stride in _strides(n, limits, start=1):
-        for mask in stride:
-            for v in range(n):
-                if (mask >> v) & 1 and (mask & masks[v]).bit_count() != 4:
-                    break  # v itself is in the intersection, so 3 neighbors = 4
-            else:
-                return frozenset(v for v in range(n) if (mask >> v) & 1)
-    return None
+    # A member passes when its closed count, itself included, is 4.
+    rows = ([1] * (d + 2) + [int(k == 4) for k in range(d + 2)] for d in map(graph.degree, range(n)))
+    mask = next(_stable_masks(graph, rows, limits, start=1), None)
+    return None if mask is None else frozenset(_ones(mask))
 
 
 def find_clique(graph: Graph, k: int) -> frozenset[int] | None:

@@ -9,7 +9,7 @@ from itertools import repeat
 
 from bnpg.critical_clique import CriticalCliqueGraph
 from bnpg.decomposition import TreeDecomposition
-from bnpg.game import Game, Graph, Profile, usw
+from bnpg.game import Game, Graph, Profile, is_psne, usw
 
 
 @contextlib.contextmanager
@@ -249,9 +249,9 @@ def reference_elimination(graph: Graph, heuristic: str) -> TreeDecomposition:
 
 
 def reference_max_esw(game: Game) -> tuple[Profile, Fraction]:
-    """`oracle.max_esw` as it was before the incumbent cut: every payoff of
-    every profile is scored, and a profile replaces the best only on a
-    strictly larger minimum.  Kept only as the reference the cut must equal."""
+    """`oracle.max_esw` one mask at a time: every payoff of every profile is
+    scored, and a profile replaces the best only on a strictly larger
+    minimum.  Kept only as the reference the block scan must equal."""
     n = game.player_count
     closed = []
     for v in range(n):
@@ -274,6 +274,14 @@ def reference_max_esw(game: Game) -> tuple[Profile, Fraction]:
     assert best is not None
     investing = frozenset(v for v in range(n) if best_mask >> v & 1)
     return Profile(investing), Fraction(best, game.scale)
+
+
+def reference_enum_psne(game: Game) -> list[Profile]:
+    """`oracle.enum_psne` by definition: every mask in ascending order,
+    kept when `game.is_psne` holds."""
+    n = game.player_count
+    profiles = (Profile(frozenset(v for v in range(n) if mask >> v & 1)) for mask in range(1 << n))
+    return [profile for profile in profiles if is_psne(game, profile)]
 
 
 def reference_max_usw(game: Game) -> tuple[Profile, Fraction]:

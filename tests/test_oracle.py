@@ -30,6 +30,7 @@ from helpers import (
     path_graph,
     petersen,
     random_game,
+    reference_enum_psne,
     reference_max_esw,
     reference_max_usw,
 )
@@ -225,6 +226,72 @@ def test_max_usw_equals_the_definitional_scan_across_block_edges(n):
     profile, value = max_usw(game)
     assert isinstance(value, Fraction)
     assert (profile, value) == reference_max_usw(game)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 9, 15, 16])
+def test_enum_psne_equals_the_definitional_scan_across_block_edges(n):
+    # The PSNE block scan ANDs bitset columns over the same blocks as
+    # max_usw; 17 players is left to the ESW test, whose reference is faster.
+    rng = random.Random(800 + n)
+    game = coprime_game(gnp_graph(n, 0.3, rng), rng)
+    assert enum_psne(game) == reference_enum_psne(game)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 9, 15, 16, 17])
+def test_max_esw_equals_the_one_mask_scan_across_block_edges(n):
+    rng = random.Random(900 + n)
+    game = coprime_game(gnp_graph(n, 0.3, rng), rng)
+    if n == 0:
+        with pytest.raises(ValueError):
+            max_esw(game)
+        return
+    profile, value = max_esw(game)
+    assert isinstance(value, Fraction)
+    assert (profile, value) == reference_max_esw(game)
+
+
+def test_max_esw_clears_its_columns_when_the_best_minimum_rises():
+    # Investing raises a neighbour's payoff a lot and costs little, so the
+    # best minimum rises again and again as the masks grow.  The scan
+    # caches each player's column per high key against the best minimum it
+    # was built for; a column kept after a rise would pass masks that only
+    # beat the old minimum.
+    rng = random.Random(4)
+    graph = gnp_graph(12, 0.5, rng)
+    ext = [tuple(3 * k + rng.randrange(3) for k in range(graph.degree(v) + 2)) for v in range(12)]
+    game = Game(graph, ext, [rng.randrange(1, 4) for _ in range(12)])
+    rises, best = [], None
+    for bits in range(1 << 12):
+        value = esw(game, Profile(frozenset(v for v in range(12) if bits >> v & 1)))
+        if best is None or value > best:
+            rises.append(bits)
+            best = value
+    assert len(rises) == 14
+    assert len({bits >> 6 for bits in rises}) == 9  # of the 64 blocks of 64 masks
+    assert max_esw(game) == reference_max_esw(game)
+
+
+def test_max_esw_breaks_an_all_zero_tie_across_blocks_toward_the_empty_profile():
+    graph = cycle_graph(17)
+    game = Game(graph, [(0,) * (graph.degree(v) + 2) for v in range(17)], [0] * 17)
+    assert max_esw(game) == (Profile.of(), 0)
+
+
+def test_first_psne_stops_in_the_block_of_the_first_equilibrium(monkeypatch):
+    # 14 isolated players; 0..6 strictly prefer to invest and 7..13 to
+    # abstain, so the one equilibrium is mask 127, in the first block of
+    # the first stride.  The clock is read for the deadline and for the
+    # check at mask 0; the checks at 4096, 8192 and 12288 never come.
+    game = Game(Graph.from_edges(14, []), [(0, 2)] * 14, [1] * 7 + [3] * 7)
+
+    def reads(solve) -> int:
+        clock = count(1)
+        monkeypatch.setattr(oracle, "time", SimpleNamespace(monotonic=lambda: next(clock)))
+        assert solve(game, OracleLimits(time_budget=100.0)) in (Profile.of(*range(7)), [Profile.of(*range(7))])
+        return next(clock) - 1
+
+    assert reads(first_psne) == 2
+    assert reads(enum_psne) == 5
 
 
 def test_max_usw_on_zero_players_is_the_empty_profile():
