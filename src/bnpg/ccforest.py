@@ -60,12 +60,12 @@ from .report import SolveReport, SolveStatus
 
 def _psne_rule(rows: list, members: Sequence[int]):
     """PSNE per clique, from `stability_rows`: at closed total t, a member
-    whose abstain row is None must invest and one whose invest row is None
-    must not.  Bit t of value[x] is set when x investors leave every member
-    stable at t: no member can do neither, and x lies between the number
-    that must invest and that plus the free ones.  order[t] lists the
-    members that must invest, then the free ones, each by ascending index,
-    or is None when some member can do neither."""
+    whose abstain row is False must invest and one whose invest row is
+    False must not.  Bit t of value[x] is set when x investors leave every
+    member stable at t: no member can do neither, and x lies between the
+    number that must invest and that plus the free ones.  order[t] lists
+    the members that must invest, then the free ones, each by ascending
+    index, or is None when some member can do neither."""
     value = [0] * (len(members) + 1)
     order: list = []
     bit = 1
@@ -73,12 +73,12 @@ def _psne_rule(rows: list, members: Sequence[int]):
         must, free = [], []
         for v in members:
             abstain, invest = rows[v]
-            if abstain[t] is None:
-                if invest[t] is None:
+            if not abstain[t]:
+                if not invest[t]:
                     order.append(None)
                     break
                 must.append(v)
-            elif invest[t] is not None:
+            elif invest[t]:
                 free.append(v)
         else:
             for x in range(len(must), len(must) + len(free) + 1):

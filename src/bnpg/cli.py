@@ -94,7 +94,7 @@ def _parse_profile_arg(text: str, game: Game) -> Profile:
 
 
 def _load_td(args, game: Game) -> TreeDecomposition | None:
-    if getattr(args, "td", None) is None:
+    if args.td is None:
         return None
     td, declared = read_pace(_read_text(args.td))
     if declared != game.graph.player_count:

@@ -433,18 +433,20 @@ def esw(game: Game, profile: Profile) -> Fraction:
 
 def stability_rows(game: Game) -> list:
     """Per player, (abstain row, invest row) over closed investor counts k:
-    True where the player is stable taking that action at k, else None.
+    whether the player is stable taking that action at k, as a bool.
 
-    None also marks the counts no profile realizes: an investor counts
+    False also marks the counts no profile realizes: an investor counts
     itself (k = 1..deg+1) and an abstainer has at most deg investing
-    neighbors (k = 0..deg).  Both PSNE dynamic programs read these rows.
+    neighbors (k = 0..deg).  A profile is an equilibrium iff the minimum of
+    its players' entries is True: the treewidth sweep folds them with `and`
+    as 0/1 payoffs, and ccforest and the oracle read them too.
     """
     rows = []
     for g, c in zip(game.scaled_ext, game.scaled_cost):
         top = len(g) - 1
-        abstain = [True if _stable(g, c, False, k) else None for k in range(top)]
-        invest = [True if _stable(g, c, True, k) else None for k in range(1, top + 1)]
-        rows.append((tuple(abstain) + (None,), (None,) + tuple(invest)))
+        abstain = [_stable(g, c, False, k) for k in range(top)]
+        invest = [_stable(g, c, True, k) for k in range(1, top + 1)]
+        rows.append((tuple(abstain) + (False,), (False,) + tuple(invest)))
     return rows
 
 

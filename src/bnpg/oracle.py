@@ -139,8 +139,8 @@ def _stable_masks(
 def _psne_profiles(game: Game, limits: OracleLimits) -> Iterator[Profile]:
     """Every pure Nash equilibrium, lazily, in ascending bitmask order."""
     _guard(game.player_count, limits)
-    # Stability depends only on (invests, closed count): True where stable.
-    rows = ([x is True for x in a + i] for a, i in stability_rows(game))
+    # Stability depends only on (invests, closed count): a bool per key.
+    rows = (a + i for a, i in stability_rows(game))
     return (Profile(frozenset(_ones(mask))) for mask in _stable_masks(game.graph, rows, limits))
 
 

@@ -5,11 +5,12 @@ currently investing, and f counts, for each bag vertex, its already-forgotten
 investing neighbors.  A vertex is *settled* when it is forgotten — at that
 moment every neighbor is either still in the bag or already forgotten, so its
 final closed-neighborhood investor count is known and the objective can act
-on it: PSNE keeps only stable settlements (`game.stability_rows`, the table
-ccforest's PSNE reads too), USW adds payoffs (max, +), and ESW takes their
-minimum (max, min).  One `_solve` answers all three questions: one sweep
-that keeps only the tables, a root check, and one replay that recomputes
-the witness from the tables on the way down.
+on it: USW adds payoffs (max, +), ESW takes their minimum (max, min), and
+PSNE is the 0/1 case of ESW, the `and` of the settled players' stability
+(`game.stability_rows`, the table ccforest's PSNE reads too).  One
+`_solve` answers all three questions: one sweep that keeps only the
+tables, a root check, and one replay that recomputes the witness from the
+tables on the way down.
 
 A state is packed into one int.  The vertex at bag position p owns the
 W-bit field starting at bit p*W, where W = max_degree.bit_length() + 1:
@@ -22,21 +23,25 @@ objectives never double, and a summed count stays at most the vertex's
 degree: it fits in its W - 1 count bits and never carries into the next
 field.
 
-The welfare sweeps are pruned against an incumbent, branch-and-bound inside
-the DP (Morin & Marsten, Oper. Res. 24(4), 1976).  `_incumbent` is the
-welfare of a real profile, the better of two one-flip passes in O(n + m),
-so the optimum is at least it.  Each forget or join may then drop a state
-whose value is below the node's floor, since no completion of it reaches
-the incumbent:
+Every sweep is pruned against a floor, branch-and-bound inside the DP
+(Morin & Marsten, Oper. Res. 24(4), 1976).  For welfare, `_incumbent` is
+the welfare of a real profile, the better of two one-flip passes in
+O(n + m), so the optimum is at least it.  Each forget or join may then
+drop a state whose value is below the node's floor, since no completion of
+it reaches the floor's target:
+- PSNE: the floor is True, checked at forgets only.  A state whose
+  forgotten player settles unstable reads False and is dropped, so every
+  kept state reads True, and a join's `and` of two of them is True.
 - ESW: the floor is the incumbent, checked at forgets only.  A running
   minimum only falls, and a join's min of two states that passed passes.
 - USW: the floor is the incumbent less the best payoff of every player not
   settled in the node's subtree, checked at forgets and joins.
 A state is dropped only when its value is strictly below the floor.  On
-an optimal profile, a state's running minimum (ESW), or its value plus the
-best of the rest (USW), is at least the optimum, which is at least the
-incumbent.  So that state survives, the root holds the same optimum, and
-`_replay` finds a witness in the kept tables.  PSNE has no floor.
+an equilibrium, every state reads True; on an optimal profile, a state's
+running minimum (ESW), or its value plus the best of the rest (USW), is at
+least the optimum, which is at least the incumbent.  So that state
+survives, the root holds the same answer, and `_replay` finds a witness in
+the kept tables.
 """
 
 from __future__ import annotations
@@ -101,22 +106,21 @@ def _sweep(
     contribution: list,
     combine: Callable,
     identity,
-    floors: list | None,
+    floors: list,
 ) -> list[dict]:
     """One bottom-up pass; returns the tables and nothing else.
 
     A state's objective folds `combine` over its settled players, from
     `identity` at the leaves: `contribution[v][invests][k]` is what v adds
-    when it settles with k closed-neighborhood investors, or None to drop
-    the state.  tables[i] keeps the best objective per packed state key.
-    Child tables are read in insertion order, which the decomposition
-    fixes, and a key keeps the first child state (forget) or pair (join,
-    left then right) that reaches its best, so `_replay` can find that same
-    witness again and ties break the same way on every run.
+    when it settles with k closed-neighborhood investors.  tables[i] keeps
+    the best objective per packed state key.  Child tables are read in
+    insertion order, which the decomposition fixes, and a key keeps the
+    first child state (forget) or pair (join, left then right) that reaches
+    its best, so `_replay` can find that same witness again and ties break
+    the same way on every run.
 
-    With `floors` (welfare only, whose rows hold no None), every forget
-    drops a new value strictly below `floors[i]`, and so does every join
-    whose `floors[i]` is not None.  Without them (PSNE) no loop pays a
+    Every forget drops a new value strictly below `floors[i]`, and so does
+    every join whose `floors[i]` is not None; the other joins pay no
     compare.
     """
     graph = game.graph
@@ -144,45 +148,27 @@ def _sweep(
             below = (1 << shift) - 1
             above = shift + width
             rows = contribution[ntd.distinguished[i]]
-            child = tables[ntd.children[i][0]]
-            if floors is None:
-                for key, val in child.items():
-                    own = (key >> shift) & field
-                    invests = own & 1
-                    k = (own >> 1) + (key & nbr_invest).bit_count() + invests
-                    adds = rows[invests][k]
-                    if adds is None:
-                        continue
-                    new_val = combine(val, adds)
-                    new_key = (key & below) | ((key >> above) << shift)
-                    if invests:
-                        new_key += bump
-                    old = table.get(new_key)
-                    if old is None or new_val > old:
-                        table[new_key] = new_val
-            else:
-                # payoff rows hold no None: the floor is the only drop
-                floor = floors[i]
-                for key, val in child.items():
-                    own = (key >> shift) & field
-                    invests = own & 1
-                    k = (own >> 1) + (key & nbr_invest).bit_count() + invests
-                    new_val = combine(val, rows[invests][k])
-                    if new_val < floor:
-                        continue
-                    new_key = (key & below) | ((key >> above) << shift)
-                    if invests:
-                        new_key += bump
-                    old = table.get(new_key)
-                    if old is None or new_val > old:
-                        table[new_key] = new_val
+            floor = floors[i]
+            for key, val in tables[ntd.children[i][0]].items():
+                own = (key >> shift) & field
+                invests = own & 1
+                k = (own >> 1) + (key & nbr_invest).bit_count() + invests
+                new_val = combine(val, rows[invests][k])
+                if new_val < floor:
+                    continue
+                new_key = (key & below) | ((key >> above) << shift)
+                if invests:
+                    new_key += bump
+                old = table.get(new_key)
+                if old is None or new_val > old:
+                    table[new_key] = new_val
         else:  # join
             left, right = ntd.children[i]
             investing = sum(1 << (p * width) for p in range(len(bags[i])))
             grouped: dict[int, list] = {}
             for key, val in tables[right].items():
                 grouped.setdefault(key & investing, []).append((key & ~investing, val))
-            floor = None if floors is None else floors[i]
+            floor = floors[i]
             for key_l, val_l in tables[left].items():
                 pairs = grouped.get(key_l & investing, ())
                 if floor is None:
@@ -269,7 +255,7 @@ def _replay(
                     if val is None:
                         continue
                     adds = rows[invests][count + (child_key & nbr_invest).bit_count() + invests]
-                    if adds is not None and combine(val, adds) == target:
+                    if combine(val, adds) == target:
                         matches.append(child_key)
             child_key = matches[0] if len(matches) == 1 else next(k for k in child_table if k in matches)
             if child_key & (1 << shift):
@@ -384,6 +370,12 @@ def _esw_floors(game: Game, ntd: NiceTreeDecomposition, rows: list) -> list:
     return [incumbent if kind == "forget" else None for kind in ntd.kinds]
 
 
+def _psne_floors(game: Game, ntd: NiceTreeDecomposition, rows: list) -> list:
+    """True at every forget: a player that settles unstable reads False and
+    drops its state.  None elsewhere, since every kept state reads True."""
+    return [True if kind == "forget" else None for kind in ntd.kinds]
+
+
 def _solve(
     game: Game,
     decomposition: "TreeDecomposition | NiceTreeDecomposition | None",
@@ -391,15 +383,15 @@ def _solve(
     tabulate: Callable,
     combine: Callable,
     identity,
-    bound: Callable | None,
+    bound: Callable,
 ) -> SolveReport:
     """One sweep over `tabulate(game)`, pruned below the floors that
-    `bound` builds (None for PSNE), then one replay from the root's
-    empty-bag state.  A root without that state has no equilibrium; a
-    welfare root always has it, and holds the optimum there.  With no
-    decomposition given, this is the one place that builds the nice form
-    from the min-fill order: a width past `width_cap` answers
-    NOT_APPLICABLE before any nice node is built."""
+    `bound` builds, then one replay from the root's empty-bag state.  A
+    root without that state has no equilibrium; a welfare root always has
+    it, and holds the optimum there.  With no decomposition given, this is
+    the one place that builds the nice form from the min-fill order: a
+    width past `width_cap` answers NOT_APPLICABLE before any nice node is
+    built."""
     started = time.perf_counter()
     if decomposition is None:
         from .elimination import elimination_order, nice_from_elimination
@@ -417,8 +409,7 @@ def _solve(
     else:
         ntd = prepare_decomposition(game, decomposition)
     contribution = tabulate(game)
-    floors = None if bound is None else bound(game, ntd, contribution)
-    tables = _sweep(game, ntd, contribution, combine, identity, floors)
+    tables = _sweep(game, ntd, contribution, combine, identity, bound(game, ntd, contribution))
     root = tables[ntd.root]
     found = 0 in root
     return SolveReport(
@@ -438,7 +429,7 @@ def solve_psne_treewidth(
     width_cap: int | None = None,
 ) -> SolveReport:
     """Find a pure Nash equilibrium, or prove none exists."""
-    return _solve(game, decomposition, width_cap, stability_rows, operator.and_, True, None)
+    return _solve(game, decomposition, width_cap, stability_rows, operator.and_, True, _psne_floors)
 
 
 def solve_usw_treewidth(

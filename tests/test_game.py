@@ -330,12 +330,13 @@ def _check_stability_rows(game):
     for v, (abstain, invest) in enumerate(rows):
         top = game.graph.degree(v) + 1
         assert len(abstain) == len(invest) == top + 1
-        assert invest[0] is None  # an investor counts itself
-        assert abstain[top] is None  # an abstainer has at most deg investors
+        assert invest[0] is False  # an investor counts itself
+        assert abstain[top] is False  # an abstainer has at most deg investors
+        # exact bools: the oracle's `> 0` and the sweep's `< True` agree
         for k in range(top):
-            assert abstain[k] == (True if is_stable(game, v, False, k) else None)
+            assert abstain[k] is is_stable(game, v, False, k)
         for k in range(1, top + 1):
-            assert invest[k] == (True if is_stable(game, v, True, k) else None)
+            assert invest[k] is is_stable(game, v, True, k)
 
 
 def test_stability_rows_match_is_stable_on_random_games():

@@ -9,7 +9,7 @@ from bnpg.ccforest import solve_psne_ccforest, solve_usw_ccforest, solve_esw_ccf
 from bnpg.decomposition import heuristic_decomposition, to_nice
 from bnpg.game import Game, Graph, Profile, is_psne, usw, esw
 from bnpg.instance_io import GameSpec, gen_random_game
-from bnpg.oracle import enum_psne, max_usw, max_esw
+from bnpg.oracle import enum_psne, first_psne, max_usw, max_esw
 from bnpg.report import SolveStatus
 from bnpg.solver import solve
 from bnpg import treewidth
@@ -194,27 +194,12 @@ def test_coprime_denominators_on_cycles():
     )
 
 
-def test_esw_makes_one_sweep(monkeypatch):
-    import bnpg.treewidth as treewidth
-
-    calls = []
-    original = treewidth._sweep
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(treewidth, "_sweep", counted)
-    game = random_game(cycle_graph(7), random.Random(120))
-    report = solve_esw_treewidth(game)
-    assert report.value == max_esw(game)[1]
-    assert len(calls) == 1
-
-
-@pytest.mark.parametrize("solve", [solve_psne_treewidth, solve_usw_treewidth])
+@pytest.mark.parametrize(
+    "solve",
+    [solve_psne_treewidth, solve_usw_treewidth, solve_esw_treewidth],
+    ids=["psne", "usw", "esw"],
+)
 def test_each_solve_makes_one_sweep(solve, monkeypatch):
-    import bnpg.treewidth as treewidth
-
     calls = []
     original = treewidth._sweep
 
@@ -478,8 +463,16 @@ def _tie_heavy_games():
 def test_tie_heavy_games_where_the_incumbent_is_optimal():
     """On these games the incumbent equals the optimum, so the root's state
     sits exactly on its floor, and on constant tables every state does: a
-    floor test that dropped equality would lose the root's state."""
+    floor test that dropped equality would lose the root's state.  PSNE's
+    floor is True, which every stable settlement meets.  On constant tables
+    every player is indifferent, so no question may drop a state there."""
     for game in _tie_heavy_games():
+        psne = solve_psne_treewidth(game)
+        expected = first_psne(game)
+        assert psne.status is (SolveStatus.NO_PSNE if expected is None else SolveStatus.SOLVED)
+        if expected is not None:
+            assert is_psne(game, psne.profile)
+        entries = {psne.table_entries}
         rows = treewidth._payoff_rows(game)
         for egalitarian, solve_welfare, oracle, score in (
             (False, solve_usw_treewidth, max_usw, usw),
@@ -491,3 +484,6 @@ def test_tie_heavy_games_where_the_incumbent_is_optimal():
             assert report.status is SolveStatus.SOLVED
             assert report.value == best
             assert score(game, report.profile) == best
+            entries.add(report.table_entries)
+        if all(len(set(g)) == 1 for g in game.scaled_ext) and not any(game.scaled_cost):
+            assert len(entries) == 1
