@@ -228,6 +228,57 @@ def test_max_usw_equals_the_definitional_scan_across_block_edges(n):
     assert (profile, value) == reference_max_usw(game)
 
 
+def _game_spanning(n: int, span: int, rng: random.Random) -> tuple[Game, Profile]:
+    """A gnp game whose payoff rows, g(k) and g(k) - c at every k, span
+    `span` in total (the sum over players of max - min), and a profile
+    that pays every player its row's maximum, so that its welfare less
+    the sum of the row minima is `span`.  The profile's investors pay no
+    cost; the others' costs reach above g and make negative entries.
+    Player 0's row is all tied when n > 1, and the last player's top
+    entry takes up what the other rows leave of the span."""
+    graph = gnp_graph(n, 0.5, rng)
+    chosen = Profile(frozenset(v for v in range(n) if rng.random() < 0.5))
+    unit = span // (8 * n) + 1
+    ext, cost = [], []
+    for v in range(n):
+        table = [rng.randrange(unit) for _ in range(graph.degree(v) + 2)]
+        table[chosen.closed_count(graph, v)] = max(table)
+        ext.append(table)
+        cost.append(0 if v in chosen else rng.randrange(2 * unit))
+    if n > 1:
+        ext[0], cost[0] = [unit] * len(ext[0]), 0
+
+    def spread(v: int) -> int:
+        row = ext[v] + [x - cost[v] for x in ext[v]]
+        return max(row) - min(row)
+
+    last = n - 1
+    top = chosen.closed_count(graph, last)
+    rest = ext[last][:top] + ext[last][top + 1:]
+    ext[last][top] = min(rest + [x - cost[last] for x in rest]) + span - sum(map(spread, range(last)))
+    assert sum(map(spread, range(n))) == span
+    return Game(graph, ext, cost), chosen
+
+
+# Spans of 2^bits - 1 (just under) and 2^bits (just over) for 8, 16, 32
+# and 64 bits at the small block edges, and a few at the two largest.
+FIELD_EDGES = [(n, bits, over) for n in (1, 2, 7, 8, 9) for bits in (8, 16, 32, 64) for over in (0, 1)]
+FIELD_EDGES += [(15, 8, 0), (15, 32, 1), (16, 16, 1), (16, 64, 1)]
+
+
+@pytest.mark.parametrize("n, bits, over", FIELD_EDGES)
+def test_max_usw_equals_the_definitional_scan_at_field_edges(n, bits, over):
+    # max_usw packs a block's welfares, each less the sum of the row
+    # minima, into fields sized to the sum of the row spans: 1, 2, 4 or 8
+    # bytes, and past 64 bits as many bytes as it takes, read back with
+    # int.from_bytes.  Some profile fills its field to the span.
+    span = (1 << bits) - 1 + over
+    game, chosen = _game_spanning(n, span, random.Random(1000 * n + 2 * bits + over))
+    minima = sum(min(min(g), min(g) - c) for g, c in zip(game.scaled_ext, game.scaled_cost))
+    assert game.scale == 1 and usw(game, chosen) - minima == span
+    assert max_usw(game) == reference_max_usw(game)
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 9, 15, 16])
 def test_enum_psne_equals_the_definitional_scan_across_block_edges(n):
     # The PSNE block scan ANDs bitset columns over the same blocks as
