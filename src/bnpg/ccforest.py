@@ -1,21 +1,27 @@
 """Dynamic programs over the critical clique forest.
 
 Closed twins share a closed neighborhood, so every member of a critical
-clique K sees the same investor total: (investors in K) + (investors in K's
-parent clique) + (investors across K's children).  Tables are indexed by that
-triple (x, y, z).  One bottom-up sweep and one top-down extraction walk
-answer all three questions, written once over a vector type in z whose
-children merge by "max over splits of combine".  Welfare vectors are lists,
-with combine the sum (USW) or the minimum (ESW).  Equilibrium vectors are
-int bitsets of 0/1 entries, so the merge is an OR over shifts and combine
-an AND; each clique's admissible investor counts and investors come from
-`game.stability_rows`, as in the treewidth PSNE.
-Applies only when the critical clique graph is a forest.
+clique K sees the same investor total x + y + z: its investors in K, in K's
+parent clique and across K's children.  One bottom-up sweep and one
+top-down walk answer all three questions, written once over a vector type
+in z whose children merge by "max over splits of combine": lists with
+combine the sum (USW) or the minimum (ESW), and int bitsets of 0/1 entries
+(PSNE), whose merge is an OR over shifts and combine an AND, with each
+clique's stable investor counts from `game.stability_rows`.  Applies only
+when the critical clique graph is a forest.
 
-Folding d children one at a time costs O(d^2) entry pairs, and rebuilding
-the prefix folds on the way down costs it again.  When every child of a
-welfare clique has one member, each child's best vector is a pair (a_j, b_j)
-(abstain, invest), and both steps take a closed form in O(d log d):
+The sweep keeps each clique's `value`, its children's merged vector per x,
+and best[y][x], the max over z of combine(value[x][x + y + z], merged[z]).
+The (x, y) rows over z are not stored; `table_entries` counts what they
+would hold, and the walk rebuilds the one row it follows at each clique,
+taking its first z that reaches the target.  A leaf's best is
+value[x][x + y]; a clique with one child takes that child's best vector as
+merged, and the walk gives the child z investors.
+
+Folding d children one at a time costs O(d^2) entry pairs, and the walk's
+prefix folds cost it again.  When every child of a welfare clique has one
+member, each child's best vector is a pair (a_j, b_j) (abstain, invest),
+and both take a closed form in O(d log d):
 
 - (max, +): out[z] is the sum of every a_j plus the z largest gains
   b_j - a_j.  The walk gives entry 1 to the first z children in the order
@@ -28,13 +34,11 @@ welfare clique has one member, each child's best vector is a pair (a_j, b_j)
   At their minimum m, a child with a_j < m has b_j >= m, at most z
   children have a_j < m and at least z have b_j >= m, so z investors that
   include every such child reach m.  Sorting by gain is wrong here.  The
-  walk keeps the fold walk's test (last child first, entry 0 before 1)
-  and reads each prefix's entry from the same three order statistics of
-  the shrinking prefix, so it picks the same entries.
+  walk keeps the fold walk's test (last child first, entry 0 before 1),
+  reading each prefix's entry from the same order statistics.
 
-Equal vectors and equal choices give the same values, witnesses and table
-entries as the fold.  PSNE bitsets and children of two or more members
-keep the fold and the prefix walk.
+Both give the fold's values, witnesses and table entries.  PSNE bitsets
+and children of two or more members keep the fold and the prefix walk.
 """
 
 from __future__ import annotations
@@ -44,7 +48,8 @@ import operator
 import time
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import chain, repeat
+from functools import reduce
+from itertools import accumulate, repeat
 from typing import Callable, NamedTuple, Sequence
 
 from .critical_clique import build_cc_graph, rooted_forest
@@ -145,7 +150,7 @@ def _esw_rule(game: Game, members: Sequence[int]):
 
 
 # ---------------------------------------------------------------------------
-# Vector types: one entry per z in a table row, per x in a best vector
+# Vector types: one entry per z in a merged vector, per x in a best vector
 # ---------------------------------------------------------------------------
 
 
@@ -154,13 +159,12 @@ class _Vectors(NamedTuple):
     identity: object  # of combine
     start: object  # the vector [identity]
     merge: Callable  # (acc, best) -> out[s] = max over a + b = s of combine(acc[a], best[b])
-    rows: Callable  # (vx, x, merged, ys) -> per y, combine(vx[x + y + z], merged[z]) over z
-    bests: Callable  # (table, ys) -> per y, over x, the max over z of table[x][y]
+    peaks: Callable  # (value, merged per x or None at a leaf, ys) -> (best[y][x], entry count)
+    row: Callable  # (vx, s, merged) -> over z, combine(vx[s + z], merged[z])
     top: Callable  # vector -> its max
     find: Callable  # (vector, entry) -> the first index holding that entry
     items: Callable  # vector -> (index, entry) for the entries a split may use, ascending
     at: Callable  # (vector, index) -> entry, None at a negative index or past the end
-    count: Callable  # table row -> its number of entries
     pair_merge: Callable | None  # two-entry bests -> their merge, in closed form
     pair_split: Callable | None  # (two-entry bests, z) -> the entry the walk takes from each
 
@@ -246,16 +250,19 @@ def _lists(combine: Callable, identity, pair_merge: Callable, pair_split: Callab
                     out[s] = candidate
         return out
 
-    def rows(vx: list, x: int, merged: list, ys: range) -> list:
-        width = len(merged)
-        return [list(map(combine, vx[x + y : x + y + width], merged)) for y in ys]
+    def peaks(value: list, merged: list | None, ys: range) -> tuple:
+        if merged is None:  # a leaf's row (x, y) is [vx[x + y]]
+            return [[vx[x + y] for x, vx in enumerate(value)] for y in ys], len(value) * len(ys)
+        pairs = list(enumerate(zip(value, merged)))
+        best = [[max(map(combine, vx[x + y :], m)) for x, (vx, m) in pairs] for y in ys]
+        return best, len(ys) * sum(map(len, merged))
 
     return _Vectors(
-        combine=combine, identity=identity, start=[identity], merge=merge, rows=rows,
-        bests=lambda table, ys: [[max(by_y[y]) for by_y in table] for y in ys],
+        combine=combine, identity=identity, start=[identity], merge=merge, peaks=peaks,
+        row=lambda vx, s, merged: list(map(combine, vx[s:], merged)),
         top=max, find=list.index, items=enumerate,
         at=lambda vector, i: vector[i] if 0 <= i < len(vector) else None,
-        count=len, pair_merge=pair_merge, pair_split=pair_split,
+        pair_merge=pair_merge, pair_split=pair_split,
     )
 
 
@@ -269,20 +276,16 @@ def _or_shifts(acc: int, best: int) -> int:
     return out
 
 
-def _bit_rows(vx: int, x: int, merged: int, ys: range) -> list:
-    vx >>= x
-    return [merged & vx >> y for y in ys]
-
-
-def _bit_bests(table: list, ys: range) -> list:
-    bests = [0] * len(ys)
-    bit = 1  # 1 << x
-    for by_y in table:
+def _bit_peaks(value: list, merged: list | None, ys: range) -> tuple:
+    bests, entries = [0] * len(ys), 0
+    for x, vx in enumerate(value):
+        m = merged[x] if merged else 1
+        vx >>= x
         for y in ys:
-            if by_y[y]:
-                bests[y] |= bit
-        bit <<= 1
-    return bests
+            if row := m & vx >> y:
+                bests[y] |= 1 << x
+                entries += row.bit_count()
+    return bests, entries
 
 
 # Feasibility vectors: bit i is entry i, 0 or 1, so a vector's max is whether
@@ -291,12 +294,12 @@ def _bit_bests(table: list, ys: range) -> list:
 # asked for entry 1.
 _BITSETS = _Vectors(
     combine=operator.and_, identity=1, start=1,
-    merge=_or_shifts, rows=_bit_rows, bests=_bit_bests,
-    top=bool,
+    merge=_or_shifts, peaks=_bit_peaks,
+    row=lambda vx, s, merged: merged & vx >> s, top=bool,
     find=lambda bits, _: (bits & -bits).bit_length() - 1,
     items=lambda bits: [(i, 1) for i in range(bits.bit_length()) if bits >> i & 1],
     at=lambda bits, i: bits >> i & 1 if i >= 0 else None,
-    count=int.bit_count, pair_merge=None, pair_split=None,
+    pair_merge=None, pair_split=None,
 )
 _SUMS = _lists(operator.add, 0, _sum_pairs, _sum_split)
 _MINIMA = _lists(lesser, math.inf, _min_pairs, _min_split)
@@ -319,11 +322,9 @@ def _solve(
     """One bottom-up sweep, then one walk down from each root's best entry.
 
     `clique_rule(tabulate(game), members)` gives a clique's `value` and
-    `order` (see the rules above).  `tables[k][x][y]` is the vector over z
-    that folds `combine` over K's subtree, and `bests[k][y]` the vector over
-    x of its maxima.  A root whose best vector is an empty bitset has no
-    equilibrium; a welfare vector is never empty.  Welfare children that
-    all have one member merge and split in closed form (module docstring).
+    `order` (see the rules above), and `bests[k][y]` is K's best vector over
+    x.  A root whose best vector is an empty bitset has no equilibrium; a
+    welfare vector is never empty.
     """
     started = time.perf_counter()
     cc = build_cc_graph(game.graph)
@@ -333,35 +334,26 @@ def _solve(
         return _report(started, SolveStatus.NOT_APPLICABLE, detail=str(exc))
     cliques = cc.cliques
     per_player = tabulate(game)
-    (combine, identity, start, merge, rows, bests_of, top, find, items, at, count,
+    (combine, identity, start, merge, peaks, row, top, find, items, at,
      pair_merge, pair_split) = vectors
 
-    def paired(kids: tuple) -> bool:
-        return bool(kids) and pair_merge is not None and all(len(cliques[j]) == 1 for j in kids)
-
-    orders: list = [None] * len(cliques)
-    tables: list = [None] * len(cliques)
+    kept: list = [None] * len(cliques)  # (value, order, merged per x, closed form?)
     bests: list = [None] * len(cliques)
+    entries = 0
     for k in rf.postorder:
         kids = rf.children[k]
         parent = rf.parent[k]
         ys = range(len(cliques[parent]) + 1 if parent is not None else 1)
-        value, orders[k] = clique_rule(per_player, cliques[k])
-        closed_form = paired(kids)
-        table = []
-        for x, vx in enumerate(value):
-            if closed_form:
-                merged = pair_merge([bests[j][x] for j in kids])
-            else:
-                merged = start
-                for j in kids:
-                    merged = merge(merged, bests[j][x])
-                    if not merged:  # an empty bitset stays empty
-                        break
-            table.append(rows(vx, x, merged, ys))
-        tables[k] = table
-        bests[k] = bests_of(table, ys)
-    entries = sum(map(count, chain.from_iterable(chain.from_iterable(tables))))
+        value, order = clique_rule(per_player, cliques[k])
+        paired = pair_merge is not None and len(kids) > 1 and all(len(cliques[j]) == 1 for j in kids)
+        if len(kids) < 2:  # see the module docstring
+            merged = bests[kids[0]] if kids else None
+        else:
+            fold = pair_merge if paired else lambda bs: reduce(merge, bs, start)
+            merged = [fold([bests[j][x] for j in kids]) for x in range(len(value))]
+        kept[k] = value, order, merged, paired
+        bests[k], count = peaks(value, merged, ys)
+        entries += count
 
     total = identity
     stack = []
@@ -370,35 +362,34 @@ def _solve(
             detail = f"no equilibrium in the component containing player {cliques[root][0]}"
             return _report(started, SolveStatus.NO_PSNE, table_entries=entries, detail=detail)
         val = top(bests[root][0])
-        x = find(bests[root][0], val)  # the smallest x, then the smallest z
-        stack.append((root, x, 0, find(tables[root][x][0], val)))
+        stack.append((root, find(bests[root][0], val), 0))  # the smallest x
         total = combine(total, val)
 
+    # (k, x, y) reaches bests[k][y][x] at the smallest z it can (0 at a leaf)
     invest: set[int] = set()
     while stack:
-        k, x, y, z = stack.pop()
-        invest.update(orders[k][x + y + z][:x])
+        k, x, y = stack.pop()
         kids = rf.children[k]
-        if paired(kids):
-            taken = pair_split([bests[j][x] for j in kids], z)
-            for j, xj in zip(reversed(kids), reversed(taken)):  # last child first
-                stack.append((j, xj, x, find(tables[j][xj][x], bests[j][x][xj])))
-            continue
-        prefix = [start]
-        for j in kids:
-            prefix.append(merge(prefix[-1], bests[j][x]))
-        remaining, target = z, at(prefix[-1], z)
-        for idx in range(len(kids) - 1, -1, -1):  # last child first
-            j = kids[idx]
-            lefts = prefix[idx]
-            for xj, right in items(bests[j][x]):  # smallest xj first
-                left = at(lefts, remaining - xj)
-                if left is not None and combine(left, right) == target:
-                    stack.append((j, xj, x, find(tables[j][xj][x], right)))
-                    remaining, target = remaining - xj, left
-                    break
-            else:
-                raise AssertionError("inconsistent ccforest tables")
+        value, order, merged, paired = kept[k]
+        z = find(row(value[x], x + y, merged[x]), at(bests[k][y], x)) if kids else 0
+        invest.update(order[x + y + z][:x])
+        if len(kids) == 1:
+            stack.append((kids[0], z, x))
+        elif paired:
+            stack += zip(kids, pair_split([bests[j][x] for j in kids], z), repeat(x))
+        elif kids:
+            prefix = list(accumulate([bests[j][x] for j in kids[:-1]], merge, initial=start))
+            target = at(merged[x], z)
+            for j in reversed(kids):  # last child first
+                lefts = prefix.pop()
+                for xj, right in items(bests[j][x]):  # smallest xj first
+                    left = at(lefts, z - xj)
+                    if left is not None and combine(left, right) == target:
+                        stack.append((j, xj, x))
+                        z, target = z - xj, left
+                        break
+                else:
+                    raise AssertionError("inconsistent ccforest tables")
 
     return _report(
         started,

@@ -116,19 +116,19 @@ class Graph(_Record):
         if player_count < 0:
             raise ValueError("player_count must be >= 0")
         edges = frozenset(edges)
-        adj: list[set[int]] = [set() for _ in range(player_count)]
+        adj: list[list[int]] = [[] for _ in range(player_count)]
         for u, v in edges:
-            if not (0 <= u < player_count and 0 <= v < player_count):
-                raise ValueError(f"edge ({u}, {v}) out of range")
-            if u == v:
-                raise ValueError(f"self-loop at {u}")
-            if u > v:
+            if not 0 <= u < v < player_count:  # one test per edge; name the rule it breaks
+                if not (0 <= u < player_count and 0 <= v < player_count):
+                    raise ValueError(f"edge ({u}, {v}) out of range")
+                if u == v:
+                    raise ValueError(f"self-loop at {u}")
                 raise ValueError(f"edge ({u}, {v}) not in canonical (u < v) order")
-            adj[u].add(v)
-            adj[v].add(u)
+            adj[u].append(v)
+            adj[v].append(u)
         object.__setattr__(self, "player_count", player_count)
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "_adj", tuple(frozenset(a) for a in adj))
+        object.__setattr__(self, "_adj", tuple(map(frozenset, adj)))
 
     @classmethod
     def from_edges(cls, player_count: int, edges: Iterable[tuple[int, int]]) -> Graph:

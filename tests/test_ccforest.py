@@ -355,6 +355,21 @@ def test_answers_and_entry_counts_are_pinned():
     assert solve_esw_ccforest(caterpillar).table_entries == 308
 
 
+def test_long_handled_broom_answers_and_entry_counts_are_pinned():
+    """A 60-player handle of one-child cliques over a hub of 40 leaves, as
+    the sweep that stored every (x, y) row and folded every child gave it:
+    the leaf and one-child shortcuts must not move an answer or a count."""
+    game = random_game(_broom(40, 60), random.Random(140))
+    psne = solve_psne_ccforest(game)
+    assert (_digest(psne.profile), psne.table_entries) == ((28, "7bf59a75267eb5b6"), 292)
+    best_usw = solve_usw_ccforest(game)
+    assert (best_usw.value, _digest(best_usw.profile)) == (267, (60, "c34ea4af4b560167"))
+    assert best_usw.table_entries == 800
+    best_esw = solve_esw_ccforest(_lifted(game))
+    assert (best_esw.value, _digest(best_esw.profile)) == (Fraction(3, 2), (30, "877b6f37ad9adbc2"))
+    assert best_esw.table_entries == 800
+
+
 def test_walk_takes_the_smallest_child_count_first():
     """The walk tries each child's investor counts in ascending order; on
     these games, trying the largest count first picks other witnesses."""
@@ -419,20 +434,17 @@ def _tie_heavy_game(graph: Graph, rng: random.Random, cost: int) -> Game:
     return Game(graph, tables, [cost] * graph.player_count)
 
 
-@pytest.mark.parametrize("handle", [0, 2], ids=["star", "broom"])
-def test_stars_and_brooms_with_tied_payoffs_match_the_oracle(handle):
+@pytest.mark.parametrize(
+    "handle, most", [(0, 14), (2, 14), (8, 5)], ids=["star", "broom", "long-broom"]
+)
+def test_stars_and_brooms_with_tied_payoffs_match_the_oracle(handle, most):
     """Payoffs in {0, 1} with unit or zero costs tie almost everywhere, so
-    the hub's children reach the closed forms with many equal gains."""
+    the hub's children reach the closed forms with many equal gains.  The
+    long broom's handle is a chain of one-child cliques."""
     rng = random.Random(130 + handle)
-    for leaves in range(1, 15):
+    for leaves in range(1, most + 1):
         for cost in (0, 1):
-            game = _tie_heavy_game(_broom(leaves, handle), rng, cost)
-            best_usw = solve_usw_ccforest(game)
-            assert best_usw.value == max_usw(game)[1]
-            assert usw(game, best_usw.profile) == best_usw.value
-            best_esw = solve_esw_ccforest(game)
-            assert best_esw.value == max_esw(game)[1]
-            assert esw(game, best_esw.profile) == best_esw.value
+            _check_against_oracle(_tie_heavy_game(_broom(leaves, handle), rng, cost))
 
 
 def _digest(profile: Profile) -> tuple[int, str]:
@@ -485,18 +497,23 @@ def test_star_answers_are_pinned(leaves, seed, pins):
         assert report.table_entries == 6 * leaves + 2
 
 
-def _count_folds(monkeypatch) -> list:
-    """Count every pairwise fold step of both welfare vector types."""
+def _count_calls(monkeypatch, names: tuple, field: str) -> list:
+    """Count every call of one field of the named vector types."""
     calls = []
-    for name in ("_SUMS", "_MINIMA"):
+    for name in names:
         vectors = getattr(ccforest, name)
 
-        def counted(acc, best, merge=vectors.merge):
+        def counted(*args, original=getattr(vectors, field)):
             calls.append(1)
-            return merge(acc, best)
+            return original(*args)
 
-        monkeypatch.setattr(ccforest, name, vectors._replace(merge=counted))
+        monkeypatch.setattr(ccforest, name, vectors._replace(**{field: counted}))
     return calls
+
+
+def _count_folds(monkeypatch) -> list:
+    """Count every pairwise fold step of both welfare vector types."""
+    return _count_calls(monkeypatch, ("_SUMS", "_MINIMA"), "merge")
 
 
 @pytest.mark.parametrize("solve", [solve_usw_ccforest, solve_esw_ccforest], ids=["usw", "esw"])
@@ -509,3 +526,27 @@ def test_one_member_children_are_never_folded(solve, monkeypatch):
     twins = gen_random_game(GameSpec("twin_tree", seed=3, multiplicities=(2, 1, 3, 1, 2, 1, 1, 2)))
     assert solve(twins).status is SolveStatus.SOLVED
     assert calls
+
+
+@pytest.mark.parametrize(
+    "graph, hub_merges",
+    [(path_graph(2000), (0, 0)), (_broom(3, 50), (2 * 2, 2 * 3 + 2))],
+    ids=["path", "broom"],
+)
+def test_leaves_and_one_child_cliques_merge_nothing(graph, hub_merges, monkeypatch):
+    """Rooted at player 0, every clique of a path, and of a broom's handle,
+    has at most one child, so it neither folds, nor merges pairs, nor ORs
+    shifted bitsets.  Only a broom's hub merges: pairs once per hub x for
+    USW and ESW, and for PSNE its three leaves per x, then the first two
+    again in the walk.  A best-shot game has equilibria, so the PSNE walk
+    runs the whole path."""
+    game = random_game(graph, random.Random(150))
+    folds = _count_folds(monkeypatch)
+    pairs = _count_calls(monkeypatch, ("_SUMS", "_MINIMA"), "pair_merge")
+    shifts = _count_calls(monkeypatch, ("_BITSETS",), "merge")
+    assert solve_usw_ccforest(game).status is SolveStatus.SOLVED
+    assert solve_esw_ccforest(game).status is SolveStatus.SOLVED
+    shot = best_shot_game(graph)
+    assert is_psne(shot, solve_psne_ccforest(shot).profile)
+    assert folds == []
+    assert (len(pairs), len(shifts)) == hub_merges

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -84,6 +85,33 @@ def test_graph_rejects_out_of_range_endpoint():
 def test_graph_rejects_duplicate_edges():
     with pytest.raises(ValueError):
         Graph.from_edges(3, [(0, 1), (1, 0)])
+
+
+@pytest.mark.parametrize(
+    "edge, message",
+    [
+        ((0, 5), "edge (0, 5) out of range"),
+        ((-1, 2), "edge (-1, 2) out of range"),
+        ((1, 1), "self-loop at 1"),
+        ((2, 1), "edge (2, 1) not in canonical (u < v) order"),
+        # two rules broken at once: the range is tested first, then the loop
+        ((3, 3), "edge (3, 3) out of range"),
+        ((4, 0), "edge (4, 0) out of range"),
+    ],
+    ids=["high", "negative", "self-loop", "order", "range-and-loop", "range-and-order"],
+)
+def test_graph_init_names_the_rule_an_edge_breaks(edge, message):
+    """`Graph(...)` takes canonical edges as given; each bad one is named by
+    the first of range, self-loop and order that it breaks."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Graph(3, [(0, 1), edge])
+
+
+def test_graph_init_builds_the_adjacency_of_valid_edges():
+    g = Graph(4, [(0, 1), (1, 3), (0, 2)])
+    assert [g.neighbors(v) for v in range(4)] == [{1, 2}, {0, 3}, {0}, {1}]
+    assert all(isinstance(g.neighbors(v), frozenset) for v in range(4))
+    assert g == Graph.from_edges(4, [(1, 0), (3, 1), (2, 0)])
 
 
 def test_degrees_and_closed_neighborhoods():
