@@ -6,9 +6,10 @@ parent clique and across K's children.  One bottom-up sweep and one
 top-down walk answer all three questions, written once over a vector type
 in z whose children merge by "max over splits of combine": lists with
 combine the sum (USW) or the minimum (ESW), and int bitsets of 0/1 entries
-(PSNE), whose merge is an OR over shifts and combine an AND, with each
-clique's stable investor counts from `game.stability_rows`.  Applies only
-when the critical clique graph is a forest.
+(PSNE), whose merge is an OR over shifts and combine an AND.  Each clique's
+value comes from one shared per-player table: `game.stability_rows` for
+PSNE, `game.payoff_rows` for USW and ESW.  Applies only when the critical
+clique graph is a forest.
 
 The sweep keeps each clique's `value`, its children's merged vector per x,
 and best[y][x], the max over z of combine(value[x][x + y + z], merged[z]).
@@ -53,7 +54,7 @@ from itertools import accumulate, repeat
 from typing import Callable, NamedTuple, Sequence
 
 from .critical_clique import build_cc_graph, rooted_forest
-from .game import Game, Profile, lesser, stability_rows
+from .game import Game, Profile, lesser, payoff_rows, stability_rows
 from .report import SolveReport, SolveStatus
 
 
@@ -93,59 +94,50 @@ def _psne_rule(rows: list, members: Sequence[int]):
     return value, order
 
 
-def _lone(game: Game, v: int):
-    """Both welfare rules for the one-member clique {v}: value is
-    [g_v, g_v - c(v)] and v is the one member that may invest.  Sum and
-    minimum over one member agree, so no per-total sort is needed."""
-    g = game.scaled_ext[v]
-    c = game.scaled_cost[v]
-    return [g, [e - c for e in g]], [[v]] * len(g)
-
-
-def _usw_rule(game: Game, members: Sequence[int]):
-    """USW per clique: the x cheapest members by (cost, index) invest, and
-    value[x][t] is the clique's payoff sum at closed total t.  A
-    one-member clique takes `_lone`."""
+def _usw_rule(rows: list, members: Sequence[int]):
+    """USW per clique, from `payoff_rows`: the x cheapest members by
+    (cost, index) invest, a member's cost being the gap between its two
+    rows, and value[x][t] is the clique's payoff sum at closed total t.  A
+    one-member clique's value is its two rows, as for ESW."""
     if len(members) == 1:
-        return _lone(game, members[0])
-    ext, cost = game.scaled_ext, game.scaled_cost
-    cheap = sorted(members, key=lambda v: (cost[v], v))
-    gsum = [sum(col) for col in zip(*(ext[v] for v in members))]
+        return rows[members[0]], [members] * len(rows[members[0]][0])
+    gap = {v: rows[v][0][0] - rows[v][1][0] for v in members}
+    cheap = sorted(members, key=lambda v: (gap[v], v))
+    gsum = [sum(col) for col in zip(*(rows[v][0] for v in members))]
     value = [gsum]
     paid = 0
     for v in cheap:
-        paid += cost[v]
+        paid += gap[v]
         value.append([g - paid for g in gsum])
     return value, [cheap] * len(gsum)
 
 
-def _esw_rule(game: Game, members: Sequence[int]):
-    """ESW per clique: at total t, the x members with the largest
-    g_v(t) - c(v) invest (smaller index first on ties), and value[x][t] is
-    the clique's minimum payoff.  Trading an investor for an abstainer with
-    a larger g - c never lowers that minimum, so no other choice of x
-    investors does better.  A one-member clique takes `_lone`, whose
-    value and order are the ones the sort gives for one member."""
+def _esw_rule(rows: list, members: Sequence[int]):
+    """ESW per clique, from `payoff_rows`: at total t, the x members with
+    the largest invest entry invest (smaller index first on ties), and
+    value[x][t] is the clique's minimum payoff.  Trading an investor for an
+    abstainer with a larger invest entry never lowers that minimum, so no
+    other choice of x investors does better.  A one-member clique's value
+    is its two rows, the value and order the sort gives for one member."""
     if len(members) == 1:
-        return _lone(game, members[0])
-    ext, cost = game.scaled_ext, game.scaled_cost
+        return rows[members[0]], [members] * len(rows[members[0]][0])
     size = len(members)
-    top = len(ext[members[0]]) - 1
+    top = len(rows[members[0]][0]) - 1
     value = [[0] * (top + 1) for _ in range(size + 1)]
     orders = []
     for t in range(top + 1):
-        ranked = sorted(members, key=lambda v: (cost[v] - ext[v][t], v))
+        ranked = sorted(members, key=lambda v: (-rows[v][1][t], v))
         orders.append(ranked)
-        # invested[x]: min over ranked[:x] of g - c; abstained[x]: min over
-        # ranked[x:] of g
+        # invested[x]: min over ranked[:x] of the invest entries;
+        # abstained[x]: min over ranked[x:] of the abstain entries
         invested = [math.inf]
         for v in ranked:
-            invested.append(min(invested[-1], ext[v][t] - cost[v]))
+            invested.append(min(invested[-1], rows[v][1][t]))
         abstained = math.inf
         for x in range(size, -1, -1):
             value[x][t] = min(invested[x], abstained)
             if x:
-                abstained = min(abstained, ext[ranked[x - 1]][t])
+                abstained = min(abstained, rows[ranked[x - 1]][0][t])
     return value, orders
 
 
@@ -313,12 +305,7 @@ def _report(
     return SolveReport(status, "ccforest", elapsed=elapsed, **fields)
 
 
-def _solve(
-    game: Game,
-    vectors: _Vectors,
-    clique_rule: Callable,
-    tabulate: Callable = lambda game: game,
-) -> SolveReport:
+def _solve(game: Game, vectors: _Vectors, clique_rule: Callable, tabulate: Callable) -> SolveReport:
     """One bottom-up sweep, then one walk down from each root's best entry.
 
     `clique_rule(tabulate(game), members)` gives a clique's `value` and
@@ -406,7 +393,7 @@ def solve_psne_ccforest(game: Game) -> SolveReport:
 
 def solve_usw_ccforest(game: Game) -> SolveReport:
     """Maximize the sum of payoffs (the organizer dictates every action)."""
-    return _solve(game, _SUMS, _usw_rule)
+    return _solve(game, _SUMS, _usw_rule, payoff_rows)
 
 
 def solve_esw_ccforest(game: Game) -> SolveReport:
@@ -418,4 +405,4 @@ def solve_esw_ccforest(game: Game) -> SolveReport:
     """
     if game.player_count == 0:
         raise ValueError("egalitarian welfare is undefined for a zero-player game")
-    return _solve(game, _MINIMA, _esw_rule)
+    return _solve(game, _MINIMA, _esw_rule, payoff_rows)

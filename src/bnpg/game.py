@@ -450,6 +450,20 @@ def stability_rows(game: Game) -> list:
     return rows
 
 
+def payoff_rows(game: Game) -> list:
+    """Per player, (abstain row, invest row) over closed investor counts k:
+    its payoff taking that action at k, as scaled ints, g_v(k)·D and
+    (g_v(k) - c(v))·D.  Both rows are tuples, so the oracle concatenates
+    them.
+
+    Every count has an entry, including the ones no profile realizes (an
+    investor at k = 0, an abstainer at k = deg + 1).  Every welfare solver
+    reads this one table: the treewidth sweep folds it with + or min, and
+    ccforest and the oracle read it too.
+    """
+    return [(g, tuple([x - c for x in g])) for g, c in zip(game.scaled_ext, game.scaled_cost)]
+
+
 def payoff_levels(game: Game) -> list[Fraction]:
     """Every payoff value any player can realize, sorted and deduplicated:
     g_v(k) or g_v(k) - c(v) for some count k.
@@ -458,9 +472,9 @@ def payoff_levels(game: Game) -> list[Fraction]:
     count, and goes with that count.
     """
     levels: set[int] = set()
-    for table, c in zip(game.scaled_ext, game.scaled_cost):
-        levels.update(table)
-        levels.update(x - c for x in table)
+    for abstain, invest in payoff_rows(game):
+        levels.update(abstain)
+        levels.update(invest)
     return [Fraction(level, game.scale) for level in sorted(levels)]
 
 

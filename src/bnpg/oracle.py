@@ -4,11 +4,12 @@ Exhaustive enumeration over all 2^n profiles (bitmask order, bit i =
 player i), the ground truth the polynomial solvers are validated against.
 The masks are taken in blocks of the 2^L that share their high bits,
 L = min(8, ceil(n/2)).  A player's payoff and stability depend only on its
-key, its closed investor count plus its degree + 2 if it invests, and a
-mask's key is the sum of the keys of its two halves.  So each player's low
-halves are tabulated once by key, and a block is answered from per-player
-columns cached per high key: the meet-in-the-middle idea of Horowitz and
-Sahni (JACM 1974).
+key, its closed investor count plus its degree + 2 if it invests, so its
+row is its abstain row then its invest row from `game.stability_rows` or
+`game.payoff_rows`.  A mask's key is the sum of the keys of its two
+halves.  So each player's low halves are tabulated once by key, and a
+block is answered from per-player columns cached per high key: the
+meet-in-the-middle idea of Horowitz and Sahni (JACM 1974).
 
 Each key's low halves form a group: one int over the block with a field
 per low half, 1 in the fields of that key.  `_low_groups` builds them
@@ -44,7 +45,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple
 
-from .game import Game, Graph, Profile, stability_rows
+from .game import Game, Graph, Profile, payoff_rows, stability_rows
 
 _TIME_CHECK_STRIDE = 4096
 # The memoryview formats of 1, 2, 4 and 8-byte unsigned fields.  They read
@@ -164,12 +165,6 @@ def first_psne(
     return next(_psne_profiles(game, limits), None)
 
 
-def _payoff_rows(game: Game) -> Iterator[list[int]]:
-    # row[k] is the payoff at closed count k and row[len(g) + k] that
-    # payoff less the cost.
-    return (list(g) + [x - c for x in g] for g, c in zip(game.scaled_ext, game.scaled_cost))
-
-
 def max_usw(
     game: Game, limits: OracleLimits = OracleLimits()
 ) -> tuple[Profile, Fraction]:
@@ -177,7 +172,7 @@ def max_usw(
     n = _guard(game.player_count, limits)
     if n == 0:
         return Profile.of(), Fraction(0)
-    rows = list(_payoff_rows(game))
+    rows = [a + i for a, i in payoff_rows(game)]
     # A field holds a mask's welfare less the sum of the row minima, from 0
     # up to the sum of the row spans: 1, 2, 4 or 8 bytes, or more if need
     # be.  Each block's total starts from that sum taken off every field.
@@ -216,10 +211,11 @@ def max_esw(
     n = _guard(game.player_count, limits)
     if n == 0:
         raise ValueError("egalitarian welfare is undefined for a zero-player game")
-    size, players = _blocks(game.graph, _payoff_rows(game))
+    rows = [a + i for a, i in payoff_rows(game)]
+    size, players = _blocks(game.graph, rows)
     full = (1 << size) - 1
-    # Mask 0 scores g(0) for everyone; it is the first incumbent.
-    best_mask, best = 0, min(g[0] for g in game.scaled_ext)
+    # Mask 0 abstains everywhere at count 0; it is the first incumbent.
+    best_mask, best = 0, min(row[0] for row in rows)
     for stride in _strides(n, limits):
         for high in range(stride.start, stride.stop, size):
             # The lowest passing mask is the next strict improvement.

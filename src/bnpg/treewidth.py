@@ -6,11 +6,12 @@ investing neighbors.  A vertex is *settled* when it is forgotten — at that
 moment every neighbor is either still in the bag or already forgotten, so its
 final closed-neighborhood investor count is known and the objective can act
 on it: USW adds payoffs (max, +), ESW takes their minimum (max, min), and
-PSNE is the 0/1 case of ESW, the `and` of the settled players' stability
-(`game.stability_rows`, the table ccforest's PSNE reads too).  One
-`_solve` answers all three questions: one sweep that keeps only the
-tables, a root check, and one replay that recomputes the witness from the
-tables on the way down.
+PSNE is the 0/1 case of ESW, the `and` of the settled players' stability.
+What a player adds when it settles is read from one shared table,
+`game.payoff_rows` for welfare and `game.stability_rows` for PSNE, the
+tables ccforest and the oracle read too.  One `_solve` answers all three
+questions: one sweep that keeps only the tables, a root check, and one
+replay that recomputes the witness from the tables on the way down.
 
 A state is packed into one int.  The vertex at bag position p owns the
 W-bit field starting at bit p*W, where W = max_degree.bit_length() + 1:
@@ -58,7 +59,7 @@ from .decomposition import (
     to_nice,
     validate_nice,
 )
-from .game import Game, Graph, Profile, lesser, stability_rows
+from .game import Game, Graph, Profile, lesser, payoff_rows, stability_rows
 from .report import SolveReport, SolveStatus
 
 
@@ -280,12 +281,6 @@ def _replay(
     return Profile(frozenset(invest))
 
 
-def _payoff_rows(game: Game) -> list:
-    """Per player, what it adds when it settles: g_v(k) abstaining, and
-    g_v(k) - c_v investing, both scaled."""
-    return [(g, tuple(x - c for x in g)) for g, c in zip(game.scaled_ext, game.scaled_cost)]
-
-
 def _incumbent(game: Game, rows: list, egalitarian: bool) -> int:
     """A welfare that one profile reaches: the better of two one-flip
     passes, from all-abstain and from all-invest.
@@ -363,17 +358,12 @@ def _usw_floors(game: Game, ntd: NiceTreeDecomposition, rows: list) -> list:
     return floors
 
 
-def _esw_floors(game: Game, ntd: NiceTreeDecomposition, rows: list) -> list:
-    """The incumbent at every forget: a running minimum only falls.  None
-    elsewhere, since a join's min of two states that passed stays above."""
-    incumbent = _incumbent(game, rows, True)
-    return [incumbent if kind == "forget" else None for kind in ntd.kinds]
-
-
-def _psne_floors(game: Game, ntd: NiceTreeDecomposition, rows: list) -> list:
-    """True at every forget: a player that settles unstable reads False and
-    drops its state.  None elsewhere, since every kept state reads True."""
-    return [True if kind == "forget" else None for kind in ntd.kinds]
+def _forget_floors(ntd: NiceTreeDecomposition, floor) -> list:
+    """`floor` at every forget and None elsewhere.  PSNE's floor is True: a
+    player that settles unstable reads False and drops its state, so every
+    kept state reads True.  ESW's is the incumbent: a running minimum only
+    falls, and a join's min of two states that passed stays above."""
+    return [floor if kind == "forget" else None for kind in ntd.kinds]
 
 
 def _solve(
@@ -429,7 +419,10 @@ def solve_psne_treewidth(
     width_cap: int | None = None,
 ) -> SolveReport:
     """Find a pure Nash equilibrium, or prove none exists."""
-    return _solve(game, decomposition, width_cap, stability_rows, operator.and_, True, _psne_floors)
+    return _solve(
+        game, decomposition, width_cap, stability_rows, operator.and_, True,
+        lambda game, ntd, rows: _forget_floors(ntd, True),
+    )
 
 
 def solve_usw_treewidth(
@@ -438,7 +431,7 @@ def solve_usw_treewidth(
     width_cap: int | None = None,
 ) -> SolveReport:
     """Maximize the sum of payoffs (the organizer dictates every action)."""
-    return _solve(game, decomposition, width_cap, _payoff_rows, operator.add, 0, _usw_floors)
+    return _solve(game, decomposition, width_cap, payoff_rows, operator.add, 0, _usw_floors)
 
 
 def solve_esw_treewidth(
@@ -457,4 +450,7 @@ def solve_esw_treewidth(
     """
     if game.player_count == 0:
         raise ValueError("egalitarian welfare is undefined for a zero-player game")
-    return _solve(game, decomposition, width_cap, _payoff_rows, lesser, math.inf, _esw_floors)
+    return _solve(
+        game, decomposition, width_cap, payoff_rows, lesser, math.inf,
+        lambda game, ntd, rows: _forget_floors(ntd, _incumbent(game, rows, True)),
+    )

@@ -311,10 +311,11 @@ def test_ccgraph_reports_forest_verdict(tmp_path, capsys):
     assert pairs["forest"] == "no" and pairs["cliques"] == "4"
 
 
-def test_decompose_and_td_flow(tmp_path, capsys):
+@pytest.mark.parametrize("heuristic", ["min_fill", "min_degree"])
+def test_decompose_and_td_flow(tmp_path, capsys, heuristic):
     game = best_shot_game(cycle_graph(5))
     inst = write(tmp_path, "c5.bnpg", serialize_instance(game))
-    code, td_text, _ = run(capsys, "decompose", inst)
+    code, td_text, _ = run(capsys, "decompose", inst, "--heuristic", heuristic)
     assert code == 0
     assert td_text.startswith("s td ")
     td_file = write(tmp_path, "c5.td", td_text)

@@ -1,5 +1,6 @@
 """Core semantics: graphs, payoffs, stability, welfare, exact coercion."""
 
+import ast
 import math
 import random
 import re
@@ -20,10 +21,12 @@ from bnpg.game import (
     is_stable,
     payoff,
     payoff_levels,
+    payoff_rows,
     read_token,
     stability_rows,
     usw,
 )
+from bnpg import ccforest, oracle, treewidth
 from bnpg.instance_io import parse_instance, serialize_instance
 
 from helpers import (
@@ -377,6 +380,44 @@ def test_stability_rows_match_is_stable_on_coprime_games():
     rng = random.Random(121)
     for _ in range(40):
         _check_stability_rows(coprime_game(gnp_graph(rng.randrange(0, 7), 0.5, rng), rng))
+
+
+def _check_payoff_rows(game):
+    rows = payoff_rows(game)
+    assert len(rows) == game.player_count
+    for v, (abstain, invest) in enumerate(rows):
+        assert type(abstain) is type(invest) is tuple  # the oracle concatenates them
+        assert len(abstain) == len(invest) == game.graph.degree(v) + 2
+        for k, g in enumerate(game.externality[v]):
+            assert Fraction(abstain[k], game.scale) == g
+            assert Fraction(invest[k], game.scale) == g - game.cost[v]
+
+
+def test_payoff_rows_match_the_exact_values_on_random_games():
+    rng = random.Random(120)
+    for _ in range(40):
+        _check_payoff_rows(random_game(gnp_graph(rng.randrange(0, 7), 0.5, rng), rng))
+
+
+def test_payoff_rows_match_the_exact_values_on_coprime_games():
+    rng = random.Random(121)
+    for _ in range(40):
+        _check_payoff_rows(coprime_game(gnp_graph(rng.randrange(0, 7), 0.5, rng), rng))
+
+
+@pytest.mark.parametrize("module", [ccforest, treewidth, oracle], ids=lambda m: m.__name__)
+def test_solvers_read_no_scaled_values(module):
+    """The payoff model stays behind `game.py`: a solver reads a game's
+    payoffs only through `payoff_rows` and `stability_rows`, never its
+    `scaled_ext` or `scaled_cost`."""
+    with open(module.__file__, encoding="utf-8") as source:
+        tree = ast.parse(source.read())
+    reads = [
+        (node.lineno, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("scaled_ext", "scaled_cost")
+    ]
+    assert reads == []
 
 
 def test_profile_validation_rejects_out_of_range():

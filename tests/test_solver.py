@@ -113,13 +113,13 @@ def test_auto_past_the_width_cap_builds_no_incumbent(monkeypatch):
 
         return record
 
-    monkeypatch.setattr(bnpg.treewidth, "_payoff_rows", refused("_payoff_rows"))
+    monkeypatch.setattr(bnpg.treewidth, "payoff_rows", refused("payoff_rows"))
     monkeypatch.setattr(bnpg.treewidth, "_incumbent", refused("_incumbent"))
     game = best_shot_game(cycle_graph(6))
     for question in QUESTIONS:
         assert solve(game, question, width_cap=0).algorithm == "brute"
     assert calls == []
-    with pytest.raises(AssertionError, match="_payoff_rows ran"):
+    with pytest.raises(AssertionError, match="payoff_rows ran"):
         solve(game, "usw", width_cap=2)  # within the cap the patch is reached
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from bnpg.ccforest import solve_psne_ccforest, solve_usw_ccforest, solve_esw_ccforest
 from bnpg.decomposition import heuristic_decomposition, to_nice
-from bnpg.game import Game, Graph, Profile, is_psne, usw, esw
+from bnpg.game import Game, Graph, Profile, is_psne, payoff_rows, usw, esw
 from bnpg.instance_io import GameSpec, gen_random_game
 from bnpg.oracle import enum_psne, first_psne, max_usw, max_esw
 from bnpg.report import SolveStatus
@@ -420,7 +420,7 @@ def test_incumbent_is_the_welfare_of_a_profile():
         for mode in ("monotone", "arbitrary")
     ]
     for game in games:
-        rows = treewidth._payoff_rows(game)
+        rows = payoff_rows(game)
         usw_scores, esw_scores = _welfare_scores(game)
         for egalitarian, scores, oracle in ((False, usw_scores, max_usw), (True, esw_scores, max_esw)):
             incumbent = treewidth._incumbent(game, rows, egalitarian)
@@ -473,7 +473,7 @@ def test_tie_heavy_games_where_the_incumbent_is_optimal():
         if expected is not None:
             assert is_psne(game, psne.profile)
         entries = {psne.table_entries}
-        rows = treewidth._payoff_rows(game)
+        rows = payoff_rows(game)
         for egalitarian, solve_welfare, oracle, score in (
             (False, solve_usw_treewidth, max_usw, usw),
             (True, solve_esw_treewidth, max_esw, esw),
