@@ -26,6 +26,7 @@ from .game import (
     esw,
     is_psne,
     payoff,
+    read_int,
     usw,
 )
 from .instance_io import (
@@ -85,7 +86,7 @@ def _parse_profile_arg(text: str, game: Game) -> Profile:
         investing: frozenset[int] = frozenset()
     else:
         try:
-            investing = frozenset(int(t) for t in tokens)
+            investing = frozenset(read_int(t) for t in tokens)
         except ValueError:
             raise ValueError(f"profile must list integers, got {text!r}") from None
     profile = Profile(investing)
@@ -218,7 +219,7 @@ def _gen_command(args) -> int:
     if args.multiplicities:
         try:
             multiplicities = tuple(
-                int(t) for t in args.multiplicities.replace(",", " ").split()
+                read_int(t) for t in args.multiplicities.replace(",", " ").split()
             )
         except ValueError:
             raise ValueError(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Sequence
 
-from .game import Graph, _Record, root_walk
+from .game import Graph, _Record, read_int, root_walk
 from .instance_io import ParseError
 
 HEURISTICS = ("min_fill", "min_degree")
@@ -436,7 +436,7 @@ def read_pace(text: str) -> tuple[TreeDecomposition, int]:
             if len(parts) != 5 or parts[1] != "td":
                 raise ParseError(idx, "header must look like 's td <bags> <max-bag-size> <vertices>'")
             try:
-                counts = tuple(int(p) for p in parts[2:])
+                counts = tuple(read_int(p) for p in parts[2:])
             except ValueError:
                 raise ParseError(idx, "header counts must be integers") from None
             if any(c < 0 for c in counts):
@@ -449,7 +449,7 @@ def read_pace(text: str) -> tuple[TreeDecomposition, int]:
             if len(parts) < 2:
                 raise ParseError(idx, "bag line is missing its id")
             try:
-                values = [int(p) for p in parts[1:]]
+                values = [read_int(p) for p in parts[1:]]
             except ValueError:
                 raise ParseError(idx, "bag line contains a non-integer") from None
             bag_id, members = values[0], values[1:]
@@ -471,7 +471,7 @@ def read_pace(text: str) -> tuple[TreeDecomposition, int]:
         if len(parts) != 2:
             raise ParseError(idx, "expected a skeleton edge line with two bag ids")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = read_int(parts[0]), read_int(parts[1])
         except ValueError:
             raise ParseError(idx, "skeleton edge line contains a non-integer") from None
         for b in (u, v):

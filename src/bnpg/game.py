@@ -32,6 +32,9 @@ Pair = tuple[int, int]
 # the decimals or the denominator; `token_pair` builds the value from them,
 # for `read_token` and for the instance parser's bulk path.
 _RATIONAL_TOKEN = re.compile(r"([+-]?)([0-9]+)(?:\.([0-9]+)|/([0-9]+))?")
+# An integer in ASCII digits.  `int()` alone would also take "1_0",
+# non-ASCII digits such as the Arabic-Indic ones, and spaces around them.
+_INT_TOKEN = re.compile(r"[+-]?[0-9]+")
 
 
 def read_token(token: str) -> Pair:
@@ -46,6 +49,14 @@ def read_token(token: str) -> Pair:
         if pair is not None:
             return pair
     raise ValueError(f"not an exact rational: {token!r}")
+
+
+def read_int(token: str) -> int:
+    """The int of a signed integer in ASCII digits ("7", "-2", "+03").  Any
+    other string raises ValueError."""
+    if _INT_TOKEN.fullmatch(token):
+        return int(token)
+    raise ValueError(f"not an integer: {token!r}")
 
 
 def token_pair(sign: str, digits: str, decimals: str | None, ratio: str | None) -> Pair | None:

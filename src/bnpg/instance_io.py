@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import NamedTuple
 
-from .game import _RATIONAL_TOKEN, Game, Graph, Pair, read_token, token_pair
+from .game import _RATIONAL_TOKEN, Game, Graph, Pair, read_int, read_token, token_pair
 
 
 class ParseError(ValueError):
@@ -53,7 +53,7 @@ def _rational(token: str, line: int, what: str) -> Pair:
 
 def _int(token: str, line: int, what: str) -> int:
     try:
-        return int(token)
+        return read_int(token)
     except ValueError:
         raise ParseError(line, f"{what} is not an integer: {token!r}") from None
 

@@ -71,15 +71,15 @@ def _guard(n: int, limits: OracleLimits) -> int:
     return n
 
 
-def _strides(n: int, limits: OracleLimits, start: int = 0) -> Iterator[range]:
-    """The masks `start` .. 2^n - 1 in ascending order, as ranges cut at the
+def _strides(n: int, limits: OracleLimits) -> Iterator[range]:
+    """The masks 0 .. 2^n - 1 in ascending order, as ranges cut at the
     multiples of `_TIME_CHECK_STRIDE`.  The time budget is checked before
-    each range that begins at such a multiple: at masks 0, 4096, ..."""
+    each range: at masks 0, 4096, ..."""
     deadline = None if limits.time_budget is None else time.monotonic() + limits.time_budget
     for low in range(0, 1 << n, _TIME_CHECK_STRIDE):
-        if deadline is not None and low >= start and time.monotonic() > deadline:
+        if deadline is not None and time.monotonic() > deadline:
             raise LimitExceeded("oracle time budget exhausted")
-        yield range(max(low, start), min(low + _TIME_CHECK_STRIDE, 1 << n))
+        yield range(low, min(low + _TIME_CHECK_STRIDE, 1 << n))
 
 
 def _ones(bits: int) -> Iterator[int]:
@@ -132,17 +132,14 @@ def _passing(players: list, high: int, acc: int, floor: int) -> int:
     return acc
 
 
-def _stable_masks(
-    graph: Graph, rows: Iterable[list], limits: OracleLimits, start: int = 0
-) -> Iterator[int]:
-    """The masks from `start` up at which every player's row entry is true,
-    lazily and in ascending order: one AND of the columns settles a block."""
+def _stable_masks(graph: Graph, rows: Iterable[list], limits: OracleLimits) -> Iterator[int]:
+    """The masks at which every player's row entry is true, lazily and in
+    ascending order: one AND of the columns settles a block."""
     size, players = _blocks(graph, rows)
     full = (1 << size) - 1
-    for stride in _strides(graph.player_count, limits, start):
-        for high in range(stride.start - stride.start % size, stride.stop, size):
-            acc = _passing(players, high, full & -1 << max(start - high, 0), 0)
-            yield from (high + low for low in _ones(acc))
+    for stride in _strides(graph.player_count, limits):
+        for high in range(stride.start, stride.stop, size):
+            yield from (high + low for low in _ones(_passing(players, high, full, 0)))
 
 
 def _psne_profiles(game: Game, limits: OracleLimits) -> Iterator[Profile]:
@@ -233,9 +230,10 @@ def find_3regular_induced(
 ) -> frozenset[int] | None:
     """Smallest-bitmask nonempty vertex set inducing a 3-regular subgraph."""
     n = _guard(graph.player_count, limits)
-    # A member passes when its closed count, itself included, is 4.
+    # A member passes when its closed count, itself included, is 4.  Every
+    # abstain entry is 1, so the empty mask 0 always passes and is skipped.
     rows = ([1] * (d + 2) + [int(k == 4) for k in range(d + 2)] for d in map(graph.degree, range(n)))
-    mask = next(_stable_masks(graph, rows, limits, start=1), None)
+    mask = next((m for m in _stable_masks(graph, rows, limits) if m), None)
     return None if mask is None else frozenset(_ones(mask))
 
 

@@ -27,18 +27,17 @@ field.
 Every sweep is pruned against a floor, branch-and-bound inside the DP
 (Morin & Marsten, Oper. Res. 24(4), 1976).  For welfare, `_incumbent` is
 the welfare of a real profile, the better of two one-flip passes in
-O(n + m), so the optimum is at least it.  Each forget or join may then
-drop a state whose value is below the node's floor, since no completion of
-it reaches the floor's target:
-- PSNE: the floor is True, checked at forgets only.  A state whose
-  forgotten player settles unstable reads False and is dropped, so every
-  kept state reads True, and a join's `and` of two of them is True.
-- ESW: the floor is the incumbent, checked at forgets only.  A running
-  minimum only falls, and a join's min of two states that passed passes.
+O(n + m), so the optimum is at least it.  Every node has a floor, and
+every forget and every join drops a state whose value is strictly below
+it, since no completion of that state reaches the floor's target:
+- PSNE: the floor is True.  A state whose forgotten player settles
+  unstable reads False and is dropped, so every kept state reads True, and
+  a join's `and` of two of them is True: no join drops.
+- ESW: the floor is the incumbent.  A running minimum only falls, and a
+  join's min of two states that passed passes: no join drops.
 - USW: the floor is the incumbent less the best payoff of every player not
-  settled in the node's subtree, checked at forgets and joins.
-A state is dropped only when its value is strictly below the floor.  On
-an equilibrium, every state reads True; on an optimal profile, a state's
+  settled in the node's subtree, and forgets and joins both drop.
+On an equilibrium, every state reads True; on an optimal profile, a state's
 running minimum (ESW), or its value plus the best of the rest (USW), is at
 least the optimum, which is at least the incumbent.  So that state
 survives, the root holds the same answer, and `_replay` finds a witness in
@@ -120,9 +119,11 @@ def _sweep(
     its best, so `_replay` can find that same witness again and ties break
     the same way on every run.
 
-    Every forget drops a new value strictly below `floors[i]`, and so does
-    every join whose `floors[i]` is not None; the other joins pay no
-    compare.
+    Every forget and every join drops a new value strictly below
+    `floors[i]`: one rule for all three questions.  A PSNE or ESW join
+    never drops, since the `and` of two kept Trues is True and the min of
+    two values at or above the incumbent stays at or above it, so there the
+    test costs one compare per pair and changes nothing.
     """
     graph = game.graph
     width = _field_width(graph)
@@ -171,25 +172,16 @@ def _sweep(
                 grouped.setdefault(key & investing, []).append((key & ~investing, val))
             floor = floors[i]
             for key_l, val_l in tables[left].items():
-                pairs = grouped.get(key_l & investing, ())
-                if floor is None:
-                    for counts_r, val_r in pairs:
-                        # both sides carry the same invest bits; the counts
-                        # add field by field without carries
-                        new_key = key_l + counts_r
-                        new_val = combine(val_l, val_r)
-                        old = table.get(new_key)
-                        if old is None or new_val > old:
-                            table[new_key] = new_val
-                else:
-                    for counts_r, val_r in pairs:
-                        new_val = combine(val_l, val_r)
-                        if new_val < floor:
-                            continue
-                        new_key = key_l + counts_r
-                        old = table.get(new_key)
-                        if old is None or new_val > old:
-                            table[new_key] = new_val
+                for counts_r, val_r in grouped.get(key_l & investing, ()):
+                    new_val = combine(val_l, val_r)
+                    if new_val < floor:
+                        continue
+                    # both sides carry the same invest bits; the counts add
+                    # field by field without carries
+                    new_key = key_l + counts_r
+                    old = table.get(new_key)
+                    if old is None or new_val > old:
+                        table[new_key] = new_val
         tables[i] = table
     return tables
 
@@ -335,35 +327,24 @@ def _incumbent(game: Game, rows: list, egalitarian: bool) -> int:
 def _usw_floors(game: Game, ntd: NiceTreeDecomposition, rows: list) -> list:
     """Per node, the value below which a USW state cannot reach the
     incumbent: even if every player not yet settled in its subtree got its
-    best payoff, the sum would fall short.  None at leaves and introduces,
-    which settle no one."""
+    best payoff, the sum would fall short.  A node's subtree settles its
+    children's players, and a forget's vertex too."""
     # the largest payoff v can realize: abstaining with k <= deg investors,
     # or investing with k >= 1
     best = [max(max(a[:-1]), max(b[1:])) for a, b in rows]
     need = _incumbent(game, rows, False) - sum(best)
-    kinds, children = ntd.kinds, ntd.children
+    kinds, children, distinguished = ntd.kinds, ntd.children, ntd.distinguished
     settled = [0] * len(kinds)
-    floors: list = [None] * len(kinds)
     for i in ntd.postorder:
         kind = kinds[i]
-        if kind == "introduce":
-            settled[i] = settled[children[i][0]]
-        elif kind == "forget":
-            settled[i] = total = settled[children[i][0]] + best[ntd.distinguished[i]]
-            floors[i] = need + total
+        if kind == "forget":
+            settled[i] = settled[children[i][0]] + best[distinguished[i]]
         elif kind == "join":
             left, right = children[i]
-            settled[i] = total = settled[left] + settled[right]
-            floors[i] = need + total
-    return floors
-
-
-def _forget_floors(ntd: NiceTreeDecomposition, floor) -> list:
-    """`floor` at every forget and None elsewhere.  PSNE's floor is True: a
-    player that settles unstable reads False and drops its state, so every
-    kept state reads True.  ESW's is the incumbent: a running minimum only
-    falls, and a join's min of two states that passed stays above."""
-    return [floor if kind == "forget" else None for kind in ntd.kinds]
+            settled[i] = settled[left] + settled[right]
+        elif kind == "introduce":
+            settled[i] = settled[children[i][0]]
+    return [need + total for total in settled]
 
 
 def _solve(
@@ -421,7 +402,7 @@ def solve_psne_treewidth(
     """Find a pure Nash equilibrium, or prove none exists."""
     return _solve(
         game, decomposition, width_cap, stability_rows, operator.and_, True,
-        lambda game, ntd, rows: _forget_floors(ntd, True),
+        lambda game, ntd, rows: [True] * len(ntd.kinds),
     )
 
 
@@ -444,13 +425,14 @@ def solve_esw_treewidth(
     A leaf holds infinity, the identity for min; forgets and joins take the
     min, each key keeps the max, and both are monotone, so the root holds
     the exact max-min.  Every player settles below the root, so the value
-    is a payoff, never infinity.  A forget drops a state whose min is
-    strictly below the incumbent, the max-min of a one-flip pass: the min
-    only falls, and the optimum is at least the incumbent.
+    is a payoff, never infinity.  Every node's floor is the incumbent, the
+    max-min of a one-flip pass: a state whose min is strictly below it is
+    dropped, since the min only falls and the optimum is at least the
+    incumbent.  Only forgets drop one.
     """
     if game.player_count == 0:
         raise ValueError("egalitarian welfare is undefined for a zero-player game")
     return _solve(
         game, decomposition, width_cap, payoff_rows, lesser, math.inf,
-        lambda game, ntd, rows: _forget_floors(ntd, _incumbent(game, rows, True)),
+        lambda game, ntd, rows: [_incumbent(game, rows, True)] * len(ntd.kinds),
     )

@@ -60,6 +60,12 @@ def star_graph(leaves: int) -> Graph:
     return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
+def hub_with_a_leaf_cycle(leaves: int) -> Graph:
+    """A star whose first four leaves also form a 4-cycle."""
+    spokes = [(0, leaf) for leaf in range(1, leaves + 1)]
+    return Graph.from_edges(leaves + 1, spokes + [(1, 2), (2, 3), (3, 4), (1, 4)])
+
+
 def petersen() -> Graph:
     outer = [(i, (i + 1) % 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]

@@ -165,6 +165,14 @@ def test_verify_rejects_out_of_range_profile(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("profile", ["\u0660", "0 1_0", "\uff10"])
+def test_verify_profile_takes_ascii_digits_only(tmp_path, capsys, profile):
+    inst = write(tmp_path, "p3.bnpg", serialize_instance(best_shot_game(path_graph(3))))
+    code, out, err = run(capsys, "verify", inst, "--profile", profile)
+    assert (code, out) == (1, "")
+    assert err == f"error: profile must list integers, got {profile!r}\n"
+
+
 def test_reduce_3ris_round_trips(tmp_path, capsys):
     gfile = write(tmp_path, "pet.graph", serialize_graph(path_graph(4)))
     code, out, _ = run(capsys, "reduce", "3ris", gfile)
@@ -288,6 +296,15 @@ def test_gen_requires_n_except_for_twin_tree(capsys):
     )
     assert code == 0 and err == ""
     assert parse_instance(out).player_count == 3
+
+
+@pytest.mark.parametrize("blocks", ["1_0,2", "\u0662,1"])
+def test_gen_multiplicities_take_ascii_digits_only(capsys, blocks):
+    code, out, err = run(
+        capsys, "gen", "--family", "twin_tree", "--multiplicities", blocks, "--seed", "1"
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: --multiplicities must list integers, got {blocks!r}\n"
 
 
 def test_gen_rejects_a_twin_tree_n_that_disagrees_with_the_blocks(capsys):

@@ -33,6 +33,7 @@ from helpers import (
     complete_graph,
     cycle_graph,
     gnp_graph,
+    hub_with_a_leaf_cycle,
     path_graph,
     address_space_cap,
     random_game,
@@ -170,12 +171,6 @@ def test_heuristic_is_deterministic():
     assert heuristic_decomposition(g) == heuristic_decomposition(g)
 
 
-def _hub_with_a_leaf_cycle(leaves):
-    """A star whose first four leaves also form a 4-cycle."""
-    spokes = [(0, leaf) for leaf in range(1, leaves + 1)]
-    return Graph.from_edges(leaves + 1, spokes + [(1, 2), (2, 3), (3, 4), (1, 4)])
-
-
 def _hubs_sharing_leaves(hubs, leaves, p, rng):
     """`hubs` vertices each adjacent to every one of `leaves` leaves, with
     edges among the leaves drawn at rate p: eliminating a leaf adds fill
@@ -205,7 +200,7 @@ def _elimination_corpus():
         core = gnp_graph(n, 0.3, rng)
         yield Graph.from_edges(n + rng.randrange(1, 6), core.edges)
     for leaves in (8, 30, 60, 120):
-        yield _hub_with_a_leaf_cycle(leaves)
+        yield hub_with_a_leaf_cycle(leaves)
     for hubs, p in ((1, 0.05), (2, 0.0), (2, 0.05), (3, 0.02)):
         yield _hubs_sharing_leaves(hubs, 120, p, rng)
     for n, p in ((35, 0.5), (37, 0.6), (38, 0.7), (40, 0.6)):
@@ -234,7 +229,7 @@ def test_min_fill_on_a_hub_is_not_cubic():
     7.3 s at hub degree 250 / 500 / 1000, eightfold per doubling; kept up
     to date, the counts take 0.02 s at degree 4000."""
     started = time.perf_counter()
-    td = heuristic_decomposition(_hub_with_a_leaf_cycle(4000))
+    td = heuristic_decomposition(hub_with_a_leaf_cycle(4000))
     assert time.perf_counter() - started < 5
     assert td.width() == 3
 
@@ -497,6 +492,13 @@ b 2 2 3
         ("s td 1 1 2\nb 1 1 2\n", "at most"),
         ("s td 2 2 2\nb 1 1\nb 2 2\n", "tree edges"),
         ("s td x y z\n", "integers"),
+        # int() would read these as 10, 2, 2, 1 and 2: integer fields take
+        # ASCII digits only
+        ("s td 1 1_0 2\n", "line 1: header counts must be integers"),
+        ("s td 1 2 \u0662\n", "line 1: header counts must be integers"),
+        ("s td 1 2 2\nb 1 1 \u0662\n", "line 2: bag line contains a non-integer"),
+        ("s td 1 2 2\nb 0_1 1 2\n", "line 2: bag line contains a non-integer"),
+        ("s td 2 1 2\nb 1 1\nb 2 2\n1 \u0662\n", "line 4: skeleton edge line contains a non-integer"),
     ],
 )
 def test_pace_errors(text, fragment):

@@ -22,6 +22,7 @@ from bnpg.game import (
     payoff,
     payoff_levels,
     payoff_rows,
+    read_int,
     read_token,
     stability_rows,
     usw,
@@ -201,6 +202,21 @@ def test_as_fraction_keeps_signs_and_reduces(token, value):
 def test_as_fraction_rejects_zero_denominators(token):
     with pytest.raises(ValueError, match="not an exact rational"):
         read_token(token)
+
+
+@pytest.mark.parametrize("token, value", [("0", 0), ("7", 7), ("-2", -2), ("+03", 3), ("-0", 0)])
+def test_read_int_reads_signed_ascii_digits(token, value):
+    assert read_int(token) == value
+
+
+@pytest.mark.parametrize(
+    "token", ["1_0", "\u0662", "1\u0660", "\uff11", " 1", "1 ", "1\n", "", "-", "+-1", "0x1", "1.0"]
+)
+def test_read_int_rejects_every_other_token(token):
+    # int() alone would take the first seven: digit separators, Arabic-Indic
+    # and fullwidth digits, and spaces around the digits
+    with pytest.raises(ValueError, match="not an integer"):
+        read_int(token)
 
 
 @pytest.mark.parametrize("bad", [0.5, None])

@@ -100,6 +100,12 @@ def test_serialized_form_is_line_oriented():
         ("bnpg 1\nn 1\nc 0 1/0\n", 3, "exact rational"),
         ("bnpg 1\nn 1\nc 0 1\ng 0 5 1\n", 4, "out of range for player 0"),
         ("bnpg 1\nn 1\nx 0\n", 3, "unknown directive"),
+        # int() would read these as 2, 10, 0 and 0: integer fields take
+        # ASCII digits only
+        ("bnpg 1\nn \u0662\n", 2, "player count is not an integer: '\u0662'"),
+        ("bnpg 1\nn 2\ne 0 1_0\n", 3, "endpoint is not an integer: '1_0'"),
+        ("bnpg 1\nn 1\nc \u0660 1\n", 3, "player is not an integer: '\u0660'"),
+        ("bnpg 1\nn 1\nc 0 1\ng 0 0_0 1\n", 4, "externality index is not an integer: '0_0'"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line, fragment):
@@ -462,6 +468,9 @@ def test_graph_round_trip():
         ("", "missing vertex count"),
         ("n 3 7\n", "line 1: expected: n <count>"),
         ("n 3\ne 0 1\ne 1 0\n", r"line 3: duplicate edge \(0, 1\)"),
+        ("n 3\ne 0 1_0\n", "line 2: endpoint is not an integer: '1_0'"),
+        ("n \u0662\n", "line 1: vertex count is not an integer: '\u0662'"),
+        ("n 3\nred \u0660\n", "line 2: vertex is not an integer: '\u0660'"),
     ],
 )
 def test_graph_errors(text, fragment):

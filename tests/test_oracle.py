@@ -158,19 +158,17 @@ def test_every_enumeration_honours_a_zero_time_budget(name):
 @pytest.mark.parametrize("name", sorted(ENUMERATIONS))
 def test_the_time_budget_is_checked_at_every_stride(name, monkeypatch):
     # A clock that reads 1, 2, 3, ... per call: the deadline is 1 + 2.5.  The
-    # checks come at masks 0, 4096, 8192, ... (4096, 8192, ... for the
-    # 3-regular search, which starts at mask 1), and the third check reads 4.
+    # checks come at masks 0, 4096, 8192, ..., and the third check reads 4.
     def run(n: int) -> int:
         reads = count(1)
         monkeypatch.setattr(oracle, "time", SimpleNamespace(monotonic=lambda: next(reads)))
         ENUMERATIONS[name](_eager_investors(n), OracleLimits(time_budget=2.5))
         return next(reads) - 1
 
-    checks = 1 if name == "find_3regular_induced" else 2
-    assert run(13) == 1 + checks  # 8192 masks: no third check
+    assert run(13) == 3  # 8192 masks: no third check
     with pytest.raises(LimitExceeded, match="time budget"):
         run(14)
-    assert run(2) == checks  # one stride: one check, none for the 3-regular search
+    assert run(2) == 2  # one stride: one check
 
 
 def _tie_and_sign_heavy_games():

@@ -1,5 +1,6 @@
 """Bag-table solvers checked against the enumerator and against each other."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 
 from bnpg.ccforest import solve_psne_ccforest, solve_usw_ccforest, solve_esw_ccforest
 from bnpg.decomposition import heuristic_decomposition, to_nice
+from bnpg.elimination import elimination_order, nice_from_elimination
 from bnpg.game import Game, Graph, Profile, is_psne, payoff_rows, usw, esw
 from bnpg.instance_io import GameSpec, gen_random_game
 from bnpg.oracle import enum_psne, first_psne, max_usw, max_esw
@@ -24,6 +26,7 @@ from helpers import (
     coprime_game,
     cycle_graph,
     gnp_graph,
+    hub_with_a_leaf_cycle,
     path_graph,
     random_game,
     random_tree,
@@ -487,3 +490,81 @@ def test_tie_heavy_games_where_the_incumbent_is_optimal():
             entries.add(report.table_entries)
         if all(len(set(g)) == 1 for g in game.scaled_ext) and not any(game.scaled_cost):
             assert len(entries) == 1
+
+
+def _games_with_joins():
+    """(game, nice decomposition) pairs: seeded bounded_tw games, hubs with a
+    4-cycle among their leaves and the tie-heavy games, each on its min-fill
+    nice form and on a min-degree one rooted at a random bag."""
+    rng = random.Random(150)
+    games = [
+        gen_random_game(GameSpec("bounded_tw", n=n, width=2, seed=seed, g_mode=mode))
+        for n, seed in ((9, 0), (12, 1), (20, 2), (40, 7))
+        for mode in ("monotone", "arbitrary")
+    ]
+    games += [random_game(hub_with_a_leaf_cycle(leaves), rng) for leaves in (6, 8, 12)]
+    games += _tie_heavy_games()
+    for game in games:
+        graph = game.graph
+        td = heuristic_decomposition(graph, "min_degree")
+        yield game, nice_from_elimination(*elimination_order(graph, "min_fill"))
+        yield game, to_nice(td, graph, root_bag=rng.randrange(len(td.bags)))
+
+
+@pytest.mark.parametrize(
+    "solve, floor",
+    [
+        (solve_psne_treewidth, lambda game: True),
+        (solve_esw_treewidth, lambda game: treewidth._incumbent(game, payoff_rows(game), True)),
+    ],
+    ids=["psne", "esw"],
+)
+def test_psne_and_esw_joins_drop_no_state(solve, floor, monkeypatch):
+    """Every node of a PSNE or ESW sweep has the one floor, True or the
+    incumbent, and a join never drops a state under it: the `and` of two
+    kept Trues is True, and the min of two values at or above the incumbent
+    stays at or above it.  So the tables equal, in keys, values and
+    insertion order, those of a sweep with no floor at its joins."""
+    original = treewidth._sweep
+    sweeps = []
+
+    def recorded(*args):
+        tables = original(*args)
+        sweeps.append((args, tables))
+        return tables
+
+    monkeypatch.setattr(treewidth, "_sweep", recorded)
+    joins = 0
+    for game, ntd in _games_with_joins():
+        sweeps.clear()
+        solve(game, ntd)
+        [((*head, floors), tables)] = sweeps
+        assert floors == [floor(game)] * len(ntd.kinds)
+        open_joins = [-math.inf if kind == "join" else f for kind, f in zip(ntd.kinds, floors)]
+        unpruned = original(*head, open_joins)
+        assert [list(t.items()) for t in tables] == [list(t.items()) for t in unpruned]
+        joins += ntd.kinds.count("join")
+    assert joins > 100
+
+
+def test_usw_floors_add_the_best_payoffs_of_the_players_settled_below():
+    """At every forget and join, the USW floor is the incumbent less every
+    player's best payoff, plus the best payoff of each player forgotten in
+    the node's subtree."""
+    for game, ntd in _games_with_joins():
+        graph, rows = game.graph, payoff_rows(game)
+        # abstaining with k <= deg closed investors, or investing with k >= 1
+        best = [
+            max(max(rows[v][0][: graph.degree(v) + 1]), max(rows[v][1][1:]))
+            for v in range(graph.player_count)
+        ]
+        need = treewidth._incumbent(game, rows, False) - sum(best)
+        floors = treewidth._usw_floors(game, ntd, rows)
+        assert len(floors) == len(ntd.kinds) and None not in floors
+        forgotten: dict[int, set] = {}
+        for i in ntd.postorder:
+            forgotten[i] = set().union(*(forgotten[c] for c in ntd.children[i]))
+            if ntd.kinds[i] == "forget":
+                forgotten[i].add(ntd.distinguished[i])
+            if ntd.kinds[i] in ("forget", "join"):
+                assert floors[i] == need + sum(best[v] for v in forgotten[i])
