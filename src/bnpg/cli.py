@@ -26,7 +26,6 @@ from .game import (
     esw,
     is_psne,
     payoff,
-    read_int,
     usw,
 )
 from .instance_io import (
@@ -34,6 +33,8 @@ from .instance_io import (
     FAMILIES,
     G_MODES,
     GameSpec,
+    ParseError,
+    _ints,
     format_rational,
     gen_random_game,
     parse_graph,
@@ -80,15 +81,20 @@ def _emit(pairs: list[tuple[str, str]], machine: bool) -> None:
             print(f"{key}: {value}")
 
 
+def _int_option(text: str) -> int:
+    """The type of every integer option: `read_int`'s ASCII digits, with the
+    error argparse gives for an `int` option."""
+    try:
+        return _ints((text,), None, f"invalid int value: {text!r}")[0]
+    except ParseError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+
+
 def _parse_profile_arg(text: str, game: Game) -> Profile:
     tokens = text.replace(",", " ").split()
-    if tokens == ["-"] or not tokens:
-        investing: frozenset[int] = frozenset()
-    else:
-        try:
-            investing = frozenset(read_int(t) for t in tokens)
-        except ValueError:
-            raise ValueError(f"profile must list integers, got {text!r}") from None
+    if tokens == ["-"]:
+        tokens = []
+    investing = frozenset(_ints(tokens, None, f"profile must list integers, got {text!r}"))
     profile = Profile(investing)
     profile.validate_for(game)
     return profile
@@ -217,14 +223,9 @@ def _gen_command(args) -> int:
         raise ValueError(f"--n is required for family {args.family}")
     multiplicities = None
     if args.multiplicities:
-        try:
-            multiplicities = tuple(
-                read_int(t) for t in args.multiplicities.replace(",", " ").split()
-            )
-        except ValueError:
-            raise ValueError(
-                f"--multiplicities must list integers, got {args.multiplicities!r}"
-            ) from None
+        text = args.multiplicities
+        message = f"--multiplicities must list integers, got {text!r}"
+        multiplicities = tuple(_ints(text.replace(",", " ").split(), None, message))
     spec = GameSpec(
         family=args.family,
         n=args.n or 0,
@@ -245,8 +246,7 @@ def _ccgraph_command(args) -> int:
     machine = args.machine
     pairs: list[tuple[str, str]] = [("cliques", str(len(cc.cliques)))]
     for i, members in enumerate(cc.cliques):
-        pairs.append((f"clique_{i}" if machine else f"clique {i}",
-                      " ".join(str(v) for v in members)))
+        pairs.append((f"clique {i}", " ".join(str(v) for v in members)))
     edges = sorted(cc.edges)
     if machine:
         pairs.append(("edge_count", str(len(edges))))
@@ -274,14 +274,14 @@ def _add_solver_flags(sub) -> None:
     sub.add_argument("--machine", action="store_true", help="key=value output")
     sub.add_argument(
         "--oracle-limit",
-        type=int,
+        type=_int_option,
         default=20,
         metavar="N",
         help="player cap for brute-force solving (default 20)",
     )
     sub.add_argument(
         "--width-cap",
-        type=int,
+        type=_int_option,
         default=8,
         metavar="W",
         help="auto mode falls back to brute force beyond this width (default 8)",
@@ -323,16 +323,16 @@ def build_parser() -> _Parser:
     reduce_cmd.add_argument(
         "graph", help='graph file ("n"/"e"/"red" lines), or - for standard input'
     )
-    reduce_cmd.add_argument("--kappa", type=int, default=None)
+    reduce_cmd.add_argument("--kappa", type=_int_option, default=None)
 
     gen = commands.add_parser("gen", help="generate a seeded random instance")
     gen.add_argument("--family", choices=FAMILIES, required=True)
     gen.add_argument(
-        "--n", type=int, default=None, help="player count (twin_tree: from --multiplicities)"
+        "--n", type=_int_option, default=None, help="player count (twin_tree: from --multiplicities)"
     )
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_int_option, default=0)
     gen.add_argument("--p", type=float, default=0.3, help="gnp edge probability")
-    gen.add_argument("--width", type=int, default=2, help="bounded_tw target width")
+    gen.add_argument("--width", type=_int_option, default=2, help="bounded_tw target width")
     gen.add_argument(
         "--multiplicities",
         default=None,

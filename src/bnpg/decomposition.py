@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Sequence
 
-from .game import Graph, _Record, read_int, root_walk
-from .instance_io import ParseError
+from .game import Graph, _Record, root_walk
+from .instance_io import ParseError, _ints
 
 HEURISTICS = ("min_fill", "min_degree")
 
@@ -435,10 +435,7 @@ def read_pace(text: str) -> tuple[TreeDecomposition, int]:
                 raise ParseError(idx, "second 's td' header line")
             if len(parts) != 5 or parts[1] != "td":
                 raise ParseError(idx, "header must look like 's td <bags> <max-bag-size> <vertices>'")
-            try:
-                counts = tuple(read_int(p) for p in parts[2:])
-            except ValueError:
-                raise ParseError(idx, "header counts must be integers") from None
+            counts = tuple(_ints(parts[2:], idx, "header counts must be integers"))
             if any(c < 0 for c in counts):
                 raise ParseError(idx, "header counts must be nonnegative")
             header = counts  # (bag_count, max_bag_size, vertex_count)
@@ -448,10 +445,7 @@ def read_pace(text: str) -> tuple[TreeDecomposition, int]:
         if parts[0] == "b":
             if len(parts) < 2:
                 raise ParseError(idx, "bag line is missing its id")
-            try:
-                values = [read_int(p) for p in parts[1:]]
-            except ValueError:
-                raise ParseError(idx, "bag line contains a non-integer") from None
+            values = _ints(parts[1:], idx, "bag line contains a non-integer")
             bag_id, members = values[0], values[1:]
             if not (1 <= bag_id <= header[0]):
                 raise ParseError(idx, f"bag id {bag_id} out of range 1..{header[0]}")
@@ -470,10 +464,7 @@ def read_pace(text: str) -> tuple[TreeDecomposition, int]:
             continue
         if len(parts) != 2:
             raise ParseError(idx, "expected a skeleton edge line with two bag ids")
-        try:
-            u, v = read_int(parts[0]), read_int(parts[1])
-        except ValueError:
-            raise ParseError(idx, "skeleton edge line contains a non-integer") from None
+        u, v = _ints(parts, idx, "skeleton edge line contains a non-integer")
         for b in (u, v):
             if not (1 <= b <= header[0]):
                 raise ParseError(idx, f"bag id {b} out of range 1..{header[0]}")

@@ -41,8 +41,6 @@ def read_token(token: str) -> Pair:
     """The reduced, signed (numerator, denominator) pair of an exact string:
     an integer ("3"), a decimal ("1.5") or a ratio ("3/4"), in ASCII digits.
     Any other string, or a zero denominator, raises ValueError."""
-    if token.isascii() and token.isdigit():
-        return int(token), 1
     match = _RATIONAL_TOKEN.fullmatch(token)
     if match:
         pair = token_pair(*match.groups())

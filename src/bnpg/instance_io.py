@@ -27,7 +27,7 @@ import re
 from collections import Counter
 from fractions import Fraction
 from itertools import chain
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .game import _RATIONAL_TOKEN, Game, Graph, Pair, read_int, read_token, token_pair
 
@@ -51,11 +51,48 @@ def _rational(token: str, line: int, what: str) -> Pair:
     return pair
 
 
-def _int(token: str, line: int, what: str) -> int:
+def _ints(tokens: Sequence[str], line: int | None, message: str) -> list[int]:
+    """The ints of `tokens` (`read_int`'s ASCII digits), or one ParseError
+    carrying `message` if any token is not one."""
     try:
-        return read_int(token)
+        return [read_int(t) for t in tokens]
     except ValueError:
-        raise ParseError(line, f"{what} is not an integer: {token!r}") from None
+        raise ParseError(line, message) from None
+
+
+def _int(token: str, line: int, what: str) -> int:
+    return _ints((token,), line, f"{what} is not an integer: {token!r}")[0]
+
+
+def _count(parts: list[str], line: int, noun: str) -> int:
+    """The count of an `n <count>` line of `noun`s."""
+    if len(parts) != 2:
+        raise ParseError(line, "expected: n <count>")
+    n = _int(parts[1], line, f"{noun} count")
+    if n < 0:
+        raise ParseError(line, f"{noun} count must be >= 0")
+    return n
+
+
+def _index(token: str, line: int, n: int, what: str, noun: str) -> int:
+    """The int of `token`, named `what`, checked to be one of the n `noun`s."""
+    v = _int(token, line, what)
+    if not 0 <= v < n:
+        raise ParseError(line, f"{noun} {v} out of range [0, {n})")
+    return v
+
+
+def _add_edge(parts: list[str], line: int, n: int, edges: set[tuple[int, int]], noun: str) -> None:
+    """Add the edge of an `e <u> <v>` line to `edges`, as (min, max)."""
+    if len(parts) != 3:
+        raise ParseError(line, "expected: e <u> <v>")
+    u, v = (_index(a, line, n, "endpoint", noun) for a in parts[1:])
+    if u == v:
+        raise ParseError(line, f"self-loop at {u}")
+    key = (u, v) if u < v else (v, u)
+    if key in edges:
+        raise ParseError(line, f"duplicate edge ({key[0]}, {key[1]})")
+    edges.add(key)
 
 
 def _significant_lines(text: str):
@@ -102,7 +139,7 @@ def _parse_bulk(text: str) -> Game | None:
     whole text to the loop.  So does a minus sign or a denominator written
     with a leading 0, which covers every negative value and zero
     denominator ("-0" and "1/05" go to the loop too).  The other checks
-    compare sizes: no duplicate edge, cost or (v, k) entry, a cost for each
+    compare sizes: no edge, cost or (v, k) entry twice, a cost for each
     of the n players, and exactly the 2n + 2m table entries that every
     lookup finds.
     """
@@ -157,11 +194,7 @@ def _parse_lines(text: str) -> Game:
     for idx, parts in lines:
         if parts[0] != "n":
             raise ParseError(idx, f"'{parts[0]}' line before the player count")
-        if len(parts) != 2:
-            raise ParseError(idx, "expected: n <count>")
-        n = _int(parts[1], idx, "player count")
-        if n < 0:
-            raise ParseError(idx, "player count must be >= 0")
+        n = _count(parts, idx, "player")
         break
     else:
         raise ParseError(idx, "missing player count line")
@@ -175,10 +208,8 @@ def _parse_lines(text: str) -> Game:
         if kind == "g":
             if len(parts) != 4:
                 raise ParseError(idx, "expected: g <v> <k> <value>")
-            v = _int(parts[1], idx, "player")
+            v = _index(parts[1], idx, n, "player", "player")
             k = _int(parts[2], idx, "externality index")
-            if not 0 <= v < n:
-                raise ParseError(idx, f"player {v} out of range [0, {n})")
             if k < 0:
                 raise ParseError(idx, "externality index must be >= 0")
             row = gtab.setdefault(v, {})
@@ -188,25 +219,12 @@ def _parse_lines(text: str) -> Game:
         elif kind == "c":
             if len(parts) != 3:
                 raise ParseError(idx, "expected: c <v> <cost>")
-            v = _int(parts[1], idx, "player")
-            if not 0 <= v < n:
-                raise ParseError(idx, f"player {v} out of range [0, {n})")
+            v = _index(parts[1], idx, n, "player", "player")
             if v in costs:
                 raise ParseError(idx, f"duplicate cost for player {v}")
             costs[v] = _rational(parts[2], idx, "cost")
         elif kind == "e":
-            if len(parts) != 3:
-                raise ParseError(idx, "expected: e <u> <v>")
-            u, v = (_int(a, idx, "endpoint") for a in parts[1:])
-            for w in (u, v):
-                if not 0 <= w < n:
-                    raise ParseError(idx, f"player {w} out of range [0, {n})")
-            if u == v:
-                raise ParseError(idx, f"self-loop at {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in edges:
-                raise ParseError(idx, f"duplicate edge ({key[0]}, {key[1]})")
-            edges.add(key)
+            _add_edge(parts, idx, n, edges, "player")
         elif kind == "n":
             raise ParseError(idx, "duplicate player-count line")
         else:
@@ -265,37 +283,18 @@ def parse_graph(text: str) -> tuple[Graph, frozenset[int]]:
     edges: set[tuple[int, int]] = set()
     red: set[int] = set()
     for idx, parts in _significant_lines(text):
-        kind, args = parts[0], parts[1:]
+        kind = parts[0]
         if kind == "n":
             if n is not None:
                 raise ParseError(idx, "duplicate vertex-count line")
-            if len(args) != 1:
-                raise ParseError(idx, "expected: n <count>")
-            n = _int(args[0], idx, "vertex count")
-            if n < 0:
-                raise ParseError(idx, "vertex count must be >= 0")
+            n = _count(parts, idx, "vertex")
             continue
         if n is None:
             raise ParseError(idx, f"'{kind}' line before the vertex count")
         if kind == "e":
-            if len(args) != 2:
-                raise ParseError(idx, "expected: e <u> <v>")
-            u, v = (_int(a, idx, "endpoint") for a in args)
-            for w in (u, v):
-                if not (0 <= w < n):
-                    raise ParseError(idx, f"vertex {w} out of range [0, {n})")
-            if u == v:
-                raise ParseError(idx, f"self-loop at {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in edges:
-                raise ParseError(idx, f"duplicate edge ({key[0]}, {key[1]})")
-            edges.add(key)
+            _add_edge(parts, idx, n, edges, "vertex")
         elif kind == "red":
-            for a in args:
-                v = _int(a, idx, "vertex")
-                if not (0 <= v < n):
-                    raise ParseError(idx, f"vertex {v} out of range [0, {n})")
-                red.add(v)
+            red.update(_index(a, idx, n, "vertex", "vertex") for a in parts[1:])
         else:
             raise ParseError(idx, f"unknown directive {kind!r}")
     if n is None:

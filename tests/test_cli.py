@@ -307,6 +307,27 @@ def test_gen_multiplicities_take_ascii_digits_only(capsys, blocks):
     assert err == f"error: --multiplicities must list integers, got {blocks!r}\n"
 
 
+@pytest.mark.parametrize("token", ["1_0", "\u0663"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("psne", "x.bnpg", "--oracle-limit"),
+        ("usw", "x.bnpg", "--width-cap"),
+        ("reduce", "clique", "x.graph", "--kappa"),
+        ("gen", "--family", "tree", "--n"),
+        ("gen", "--family", "tree", "--n", "3", "--seed"),
+        ("gen", "--family", "bounded_tw", "--n", "3", "--width"),
+    ],
+)
+def test_integer_options_take_ascii_digits_only(capsys, argv, token):
+    # int() would read both tokens (as 10 and 3)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, token])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (1, "")
+    assert captured.err.endswith(f"error: argument {argv[-1]}: invalid int value: {token!r}\n")
+
+
 def test_gen_rejects_a_twin_tree_n_that_disagrees_with_the_blocks(capsys):
     args = ("gen", "--family", "twin_tree", "--multiplicities", "1,2", "--seed", "1")
     code, out, err = run(capsys, *args, "--n", "5")

@@ -106,6 +106,10 @@ def test_serialized_form_is_line_oriented():
         ("bnpg 1\nn 2\ne 0 1_0\n", 3, "endpoint is not an integer: '1_0'"),
         ("bnpg 1\nn 1\nc \u0660 1\n", 3, "player is not an integer: '\u0660'"),
         ("bnpg 1\nn 1\nc 0 1\ng 0 0_0 1\n", 4, "externality index is not an integer: '0_0'"),
+        ("bnpg 1\nn 2 7\n", 2, "expected: n <count>"),
+        ("bnpg 1\nn 2\ne 0\n", 3, "expected: e <u> <v>"),
+        ("bnpg 1\nn 1\nc 1 0\n", 3, "player 1 out of range [0, 1)"),
+        ("bnpg 1\nn 1\ng 3 0 0\n", 3, "player 3 out of range [0, 1)"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line, fragment):
@@ -471,6 +475,10 @@ def test_graph_round_trip():
         ("n 3\ne 0 1_0\n", "line 2: endpoint is not an integer: '1_0'"),
         ("n \u0662\n", "line 1: vertex count is not an integer: '\u0662'"),
         ("n 3\nred \u0660\n", "line 2: vertex is not an integer: '\u0660'"),
+        ("n 3\nred 0 x\n", "line 2: vertex is not an integer: 'x'"),
+        ("n -1\n", "line 1: vertex count must be >= 0"),
+        ("n 3\ne 0\n", "line 2: expected: e <u> <v>"),
+        ("n 3\ne 1 1\n", "line 2: self-loop at 1"),
     ],
 )
 def test_graph_errors(text, fragment):
