@@ -71,7 +71,15 @@ def _psne_rule(rows: list, members: Sequence[int]):
     member stable at t: no member can do neither, and x lies between the
     number that must invest and that plus the free ones.  order[t] lists
     the members that must invest, then the free ones, each by ascending
-    index, or is None when some member can do neither."""
+    index, or is None when some member can do neither.  One member's
+    value is its two rows as bitsets, and its order [v] or None."""
+    if len(members) == 1:
+        value, order, one = [0, 0], [], list(members)
+        for t, (abstain, invest) in enumerate(zip(*rows[members[0]])):
+            value[0] |= abstain << t
+            value[1] |= invest << t
+            order.append(one if abstain or invest else None)
+        return value, order
     value = [0] * (len(members) + 1)
     order: list = []
     bit = 1

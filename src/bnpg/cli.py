@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 
 from .critical_clique import build_cc_graph, is_forest
@@ -88,6 +89,14 @@ def _int_option(text: str) -> int:
         return _ints((text,), None, f"invalid int value: {text!r}")[0]
     except ParseError as err:
         raise argparse.ArgumentTypeError(str(err)) from None
+
+
+def _float_option(text: str) -> float:
+    """The type of `--p`: a decimal in ASCII digits, not `float()`'s wider
+    grammar, with the error argparse gives for a `float` option."""
+    if re.fullmatch(r"[+-]?[0-9]+(?:\.[0-9]+)?", text):
+        return float(text)
+    raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
 
 
 def _parse_profile_arg(text: str, game: Game) -> Profile:
@@ -201,15 +210,13 @@ def _reduce_command(args) -> int:
     from .reductions import reduce_3ris, reduce_clique_to_uswc, reduce_rbds_to_eswc
 
     graph, red = parse_graph(_read_text(args.graph))
+    if args.kind != "3ris" and args.kappa is None:
+        raise ValueError(f"reduce {args.kind} needs --kappa")
     if args.kind == "3ris":
         output = reduce_3ris(graph)
     elif args.kind == "clique":
-        if args.kappa is None:
-            raise ValueError("reduce clique needs --kappa")
         output = reduce_clique_to_uswc(graph, args.kappa)
     else:
-        if args.kappa is None:
-            raise ValueError("reduce rbds needs --kappa")
         blue = frozenset(range(graph.player_count)) - red
         output = reduce_rbds_to_eswc(graph, blue, red, args.kappa)
     for line in _witness_lines(output):
@@ -331,7 +338,7 @@ def build_parser() -> _Parser:
         "--n", type=_int_option, default=None, help="player count (twin_tree: from --multiplicities)"
     )
     gen.add_argument("--seed", type=_int_option, default=0)
-    gen.add_argument("--p", type=float, default=0.3, help="gnp edge probability")
+    gen.add_argument("--p", type=_float_option, default=0.3, help="gnp edge probability")
     gen.add_argument("--width", type=_int_option, default=2, help="bounded_tw target width")
     gen.add_argument(
         "--multiplicities",

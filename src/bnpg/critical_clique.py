@@ -27,27 +27,32 @@ class CriticalCliqueGraph(NamedTuple):
 
 
 def build_cc_graph(graph: Graph) -> CriticalCliqueGraph:
-    """Partition players by closed neighborhood and contract.
+    """Partition players by closed neighborhood and contract, in O(n + m).
 
-    Classes are found by grouping on the frozen closed-neighbor set itself
-    (full equality, no hash-collision risk), so the partition is exact.
-    """
-    classes: dict[frozenset[int], list[int]] = {}
-    for v in range(graph.player_count):
-        classes.setdefault(graph.closed_neighbors(v), []).append(v)
-    cliques = tuple(sorted((tuple(sorted(c)) for c in classes.values())))
-    clique_of = [0] * graph.player_count
+    Twins share a fingerprint, (degree, closed-neighbor sum), and only
+    players that share one are grouped on their frozen closed-neighbor set
+    (full equality, no hash-collision risk).  With no twins, the clique
+    graph is the graph itself."""
+    n = graph.player_count
+    buckets: dict[int, list[int]] = {}
+    for v in range(n):
+        nbrs = graph.neighbors(v)
+        buckets.setdefault((sum(nbrs) + v) * n + len(nbrs), []).append(v)
+    classes: dict = {}  # keyed by a player alone in its bucket, or by a closed neighborhood
+    for bucket in buckets.values():
+        for v in bucket:
+            classes.setdefault(graph.closed_neighbors(v) if len(bucket) > 1 else v, []).append(v)
+    if len(classes) == n:
+        return CriticalCliqueGraph(graph, tuple((v,) for v in range(n)), tuple(range(n)), graph.edges)
+    cliques = tuple(sorted(map(tuple, classes.values())))  # each class ascends
+    clique_of = [0] * n
     for idx, members in enumerate(cliques):
         for v in members:
             clique_of[v] = idx
-    cc_edges = set()
-    for idx, members in enumerate(cliques):
-        rep = members[0]
-        for w in graph.neighbors(rep):
-            j = clique_of[w]
-            if j != idx:
-                cc_edges.add((idx, j) if idx < j else (j, idx))
-    return CriticalCliqueGraph(graph, cliques, tuple(clique_of), frozenset(cc_edges))
+    # each clique edge is seen from both ends' first members: keep it once
+    seen = ((i, clique_of[w]) for i, members in enumerate(cliques) for w in graph.neighbors(members[0]))
+    cc_edges = frozenset((i, j) for i, j in seen if i < j)
+    return CriticalCliqueGraph(graph, cliques, tuple(clique_of), cc_edges)
 
 
 class RootedForest(NamedTuple):

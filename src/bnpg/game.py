@@ -289,8 +289,8 @@ class Game(_Record):
         setattr_ = object.__setattr__
         setattr_(self, "graph", graph)
         setattr_(self, "scale", scale)
-        setattr_(self, "scaled_ext", tuple(tuple(x * factor[d] for x, d in t) for t in externality))
-        setattr_(self, "scaled_cost", tuple(x * factor[d] for x, d in cost))
+        setattr_(self, "scaled_ext", tuple([tuple([x * factor[d] for x, d in t]) for t in externality]))
+        setattr_(self, "scaled_cost", tuple([x * factor[d] for x, d in cost]))
         setattr_(self, "_values", None)
 
     def _exact(self) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[Fraction, ...]]:

@@ -139,9 +139,8 @@ def _parse_bulk(text: str) -> Game | None:
     whole text to the loop.  So does a minus sign or a denominator written
     with a leading 0, which covers every negative value and zero
     denominator ("-0" and "1/05" go to the loop too).  The other checks
-    compare sizes: no edge, cost or (v, k) entry twice, a cost for each
-    of the n players, and exactly the 2n + 2m table entries that every
-    lookup finds.
+    compare sizes: no edge twice, and each cost and (v, k) entry fills its
+    slot by index, with as many lines as slots and no slot left empty.
     """
     head = re.match(_HEADER, text)
     if head is None:
@@ -164,19 +163,20 @@ def _parse_bulk(text: str) -> Game | None:
     # canonical u <= v: v < n puts both ends in range
     if len(edges) != len(ends) or any(u == v or v >= n for u, v in edges):
         return None
-    costs = {int(v): token_pair(s, d, f, r) for v, s, d, f, r in cost_rows}
-    if len(costs) != n or max(costs, default=-1) >= n:
-        return None
-    entries = {(int(v), int(k)): token_pair(s, d, f, r) for v, k, s, d, f, r in table_rows}
-    if len(entries) != len(table_rows) or len(entries) != 2 * (n + len(edges)):
-        return None
-    degree = Counter(chain.from_iterable(edges))
-    try:
-        tables = [[entries[v, k] for k in range(degree[v] + 2)] for v in range(n)]
-    except KeyError:  # so some entry lies outside the tables
-        return None
     graph = Graph(n, frozenset(edges))
-    return Game.from_pairs(graph, tables, [costs[v] for v in range(n)])
+    costs: list = [None] * n
+    tables: list = [[None] * (d + 2) for d in map(graph.degree, range(n))]
+    try:
+        for v, s, d, f, r in cost_rows:
+            costs[int(v)] = token_pair(s, d, f, r)
+        for v, k, s, d, f, r in table_rows:
+            tables[int(v)][int(k)] = token_pair(s, d, f, r)
+    except IndexError:  # an entry outside the tables
+        return None
+    # as many rows as slots (2n + 2m), so no empty slot means none written twice
+    if len(table_rows) != 2 * (n + len(edges)) or None in costs or any(None in t for t in tables):
+        return None
+    return Game.from_pairs(graph, tables, costs)
 
 
 def _parse_lines(text: str) -> Game:

@@ -30,6 +30,7 @@ from helpers import (
     coprime_game,
     cycle_graph,
     drawn_star,
+    gnp_graph,
     path_graph,
     random_game,
     random_tree,
@@ -103,6 +104,27 @@ def test_witness_takes_must_invest_then_smallest_free():
     assert is_psne(game, report.profile)
     # the two other one-free-investor choices are equilibria too
     assert is_psne(game, Profile.of(1, 2)) and is_psne(game, Profile.of(2, 3))
+
+
+def _one_member_games():
+    """Seeded random, tie-heavy and zero-cost games on trees and gnp graphs."""
+    rng = random.Random(21)
+    for n in range(1, 13):
+        for graph in (random_tree(n, rng), gnp_graph(n, 0.4, rng)):
+            yield random_game(graph, rng)
+            yield _tie_heavy_game(graph, rng, rng.randint(0, 1))
+        yield gen_random_game(GameSpec("gnp", n=n, seed=n, p=0.4, cost_mode="zero"))
+
+
+def test_a_one_member_rule_reads_its_two_stability_rows():
+    # value[0] and value[1] are the abstain and invest rows as bitsets, and
+    # order[t] is [v] unless neither action is stable at t
+    for game in _one_member_games():
+        rows = stability_rows(game)
+        for v, (abstain, invest) in enumerate(rows):
+            bits = [sum(1 << t for t, ok in enumerate(row) if ok) for row in (abstain, invest)]
+            order = [[v] if a or i else None for a, i in zip(abstain, invest)]
+            assert _psne_rule(rows, (v,)) == (bits, order)
 
 
 # ---------------------------------------------------------------------------

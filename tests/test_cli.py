@@ -328,6 +328,16 @@ def test_integer_options_take_ascii_digits_only(capsys, argv, token):
     assert captured.err.endswith(f"error: argument {argv[-1]}: invalid int value: {token!r}\n")
 
 
+@pytest.mark.parametrize("token", ["0.0_3", "\u0660.\u0663"])
+def test_gen_p_takes_an_ascii_decimal_only(capsys, token):
+    # float() would read both tokens (as 0.03 and 0.3)
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--family", "gnp", "--n", "4", "--seed", "1", "--p", token])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (1, "")
+    assert captured.err.endswith(f"error: argument --p: invalid float value: {token!r}\n")
+
+
 def test_gen_rejects_a_twin_tree_n_that_disagrees_with_the_blocks(capsys):
     args = ("gen", "--family", "twin_tree", "--multiplicities", "1,2", "--seed", "1")
     code, out, err = run(capsys, *args, "--n", "5")

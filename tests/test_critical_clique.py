@@ -5,7 +5,7 @@ import random
 import networkx as nx
 import pytest
 
-from bnpg.critical_clique import build_cc_graph, is_forest, rooted_forest
+from bnpg.critical_clique import CriticalCliqueGraph, build_cc_graph, is_forest, rooted_forest
 from bnpg.game import Graph
 
 from helpers import (
@@ -181,3 +181,70 @@ def test_the_one_forest_check_agrees_with_networkx():
         position = {k: i for i, k in enumerate(rf.postorder)}
         assert sorted(position) == list(range(len(cc.cliques)))
         assert all(up is None or position[k] < position[up] for k, up in enumerate(rf.parent))
+
+
+def _grouped_by_closed_neighbors(g):
+    """The critical clique graph, grouping every player directly on its
+    frozen closed neighborhood."""
+    classes = {}
+    for v in range(g.player_count):
+        classes.setdefault(g.closed_neighbors(v), []).append(v)
+    cliques = tuple(sorted(tuple(c) for c in classes.values()))
+    clique_of = [0] * g.player_count
+    for i, clique in enumerate(cliques):
+        for v in clique:
+            clique_of[v] = i
+    edges = {
+        (min(clique_of[u], clique_of[v]), max(clique_of[u], clique_of[v]))
+        for u, v in g.edges
+        if clique_of[u] != clique_of[v]
+    }
+    return CriticalCliqueGraph(g, cliques, tuple(clique_of), frozenset(edges))
+
+
+def _relabeled(g, rng):
+    label = list(range(g.player_count))
+    rng.shuffle(label)
+    return Graph.from_edges(g.player_count, [(label[u], label[v]) for u, v in g.edges])
+
+
+def _k2_components(pairs, rng):
+    """`pairs` disjoint edges on shuffled labels, plus an isolated player."""
+    return _relabeled(Graph.from_edges(2 * pairs + 1, [(2 * i, 2 * i + 1) for i in range(pairs)]), rng)
+
+
+def test_cliques_equal_a_direct_grouping_by_closed_neighborhood():
+    rng = random.Random(12)
+    for _ in range(40):
+        n = rng.randrange(0, 40)
+        graphs = (
+            random_tree(n, rng),
+            twin_cluster_graph(n, rng),
+            _relabeled(twin_cluster_graph(n, rng), rng),
+            gnp_graph(n, rng.choice((0.1, 0.3, 0.6, 0.9)), rng),
+            _k2_components(n // 2, rng),
+        )
+        for g in graphs:
+            assert build_cc_graph(g) == _grouped_by_closed_neighbors(g)
+
+
+def test_a_shared_fingerprint_does_not_make_twins():
+    # 0 and 1 are adjacent, of degree 3, and their closed neighborhoods
+    # {0, 1, 2, 5} and {0, 1, 3, 4} both sum to 8; 6 and 7 are twins
+    g = Graph.from_edges(8, [(0, 1), (0, 2), (0, 5), (1, 3), (1, 4), (2, 6), (2, 7), (6, 7)])
+    assert g.degree(0) == g.degree(1) and sum(g.closed_neighbors(0)) == sum(g.closed_neighbors(1))
+    cc = build_cc_graph(g)
+    assert cc.cliques == ((0,), (1,), (2,), (3,), (4,), (5,), (6, 7))
+    assert cc == _grouped_by_closed_neighbors(g)
+
+
+def test_a_complete_graph_and_a_large_star():
+    cc = build_cc_graph(complete_graph(60))
+    assert cc.cliques == (tuple(range(60)),)
+    assert cc.clique_of == (0,) * 60 and cc.edges == frozenset()
+    star = star_graph(2000)
+    cc = build_cc_graph(star)
+    assert cc.cliques == tuple((v,) for v in range(2001))
+    assert cc.clique_of == tuple(range(2001))
+    assert cc.edges == frozenset((0, leaf) for leaf in range(1, 2001))
+    assert rooted_forest(cc).children[0] == tuple(range(1, 2001))

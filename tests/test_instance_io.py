@@ -402,6 +402,20 @@ def _perturb(text: str, n: int, rng: random.Random, kind: str) -> str:
     elif kind == "self-loop":
         v = rng.randrange(max(n, 1))
         lines.insert(rng.randrange(len(lines) + 1), f"e {v} {v}")
+    elif kind == "replace":
+        # a g line becomes a copy of another line of its player's table, a c
+        # line a copy of another player's cost line: as many lines as before,
+        # one slot written twice and another left empty
+        rows = [j for j in range(2, len(lines)) if lines[j][:1] in ("c", "g")]
+        if rows:
+            i = rng.choice(rows)
+            letter, player = lines[i][:1], lines[i].split()[1:2]
+            same = [
+                j for j in rows
+                if j != i and lines[j][:1] == letter and (letter == "c" or lines[j].split()[1:2] == player)
+            ]
+            if same:
+                lines[i] = lines[rng.choice(same)]
     else:
         raise AssertionError(kind)
     return "\n".join(lines) + "\n"
@@ -411,7 +425,7 @@ _PERTURBATIONS = (
     "comment", "blank", "junk line", "tab", "trailing space", "separator", "separator inside",
     "non-ascii digit", "underscore", "plus", "minus zero", "leading zero", "decimal", "ratio",
     "reorder", "drop", "duplicate", "swap endpoints", "negate", "out of range",
-    "other player", "index out of range", "self-loop",
+    "other player", "index out of range", "self-loop", "replace",
 )
 
 
